@@ -22,7 +22,7 @@ cleanup() {
 trap cleanup EXIT
 
 "$BUILD/tools/tempofair-sim" generate --out "$tmpdir/jobs.csv" \
-  --workload poisson --n 2000 --load 0.9 --seed 3
+  --workload "poisson:n=2000,load=0.9,seed=3"
 
 # --port 0 binds an ephemeral port and prints it on stdout.
 "$BUILD/tools/tempofaird" --port 0 --quiet > "$tmpdir/port.txt" &

@@ -11,9 +11,10 @@
 // One serializable request struct describes a run completely -- policy spec,
 // machine/speed configuration, safety valves, live hooks -- and one result
 // struct carries everything a caller consumes, so the CLI tools, the bench
-// registry, and tempofaird's wire protocol all speak the same API.  The
-// older EngineOptions + simulate() overloads remain as thin deprecated
-// shims over the same cores.
+// registry, tempofaird's wire protocol and the analyses all speak the same
+// API.  The request is validated once, at the facade, and then handed to
+// one of two cores: FastForwardCore for policies with a closed-form rate
+// rule, the generic event loop for everything else.
 #pragma once
 
 #include <atomic>
@@ -35,58 +36,11 @@
 
 namespace tempofair {
 
-/// Thrown when a run stops because RunRequest::cancel (or
-/// EngineOptions::cancel) was set.  Derives from std::runtime_error so
-/// legacy catch sites treat it as any other aborted run.
+/// Thrown when a run stops because RunRequest::cancel was set.  Derives from
+/// std::runtime_error so catch sites treat it as any other aborted run.
 class RunCancelled : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-struct EngineOptions {
-  int machines = 1;
-  /// Speed augmentation: each machine processes `speed` units of work per
-  /// unit time.  OPT is always measured at speed 1.
-  double speed = 1.0;
-  /// Record the full rate trace (needed by fairness + dual-fitting analyses).
-  bool record_trace = true;
-  /// Hide sizes from the policy (AliveJob::size/remaining = NaN).  Refused
-  /// for clairvoyant policies.
-  bool hide_sizes = false;
-  /// Safety valve: abort if the simulated clock passes this.
-  Time max_time = kInfiniteTime;
-  /// Safety valve: abort after this many engine iterations (guards against a
-  /// policy that returns pathological breakpoints).
-  std::size_t max_steps = 50'000'000;
-  /// Fail fast after this many consecutive iterations that make no progress
-  /// at all (clock did not advance, no completion, no arrival) -- e.g. a
-  /// policy whose breakpoint is too small to move the clock in floating
-  /// point.  Produces a livelock diagnostic instead of silently burning
-  /// max_steps.
-  std::size_t max_zero_progress_steps = 1000;
-  /// Route the run through the epoch-coalesced fast path when the policy
-  /// advertises a FastForward capability (see core/fast_forward.h).
-  /// Results are byte-identical to the generic event loop; disable to force
-  /// the generic loop, e.g. for equivalence testing.
-  bool use_fast_path = true;
-  /// Invariant checking mode (core/invariants.h).  The process default is
-  /// kSampled -- every invariant_sample_period'th epoch gets the full
-  /// checker battery, end-of-run checks always run -- overridable via the
-  /// TEMPOFAIR_INVARIANTS environment variable.  kExhaustive additionally
-  /// fails the run (std::runtime_error) on any violation.
-  InvariantMode invariants = default_invariant_mode();
-  std::size_t invariant_sample_period = default_invariant_sample_period();
-  /// When set, receives the run's InvariantStats (written before an
-  /// exhaustive-mode violation throws).  The facade wires this into
-  /// RunResult::invariants.  Must outlive the run.
-  InvariantStats* invariant_stats = nullptr;
-  /// Live hooks (not part of the serializable request): when set, the engine
-  /// appends every completion's flow time here, so another thread can watch
-  /// percentiles / l_k norms of a run in flight.  Must outlive the run.
-  LiveMetrics* live_metrics = nullptr;
-  /// When set, the engine polls this flag once per event and aborts the run
-  /// with RunCancelled as soon as it reads true.  Must outlive the run.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// One simulation run, described completely and serializably.
@@ -112,28 +66,42 @@ struct RunRequest {
   /// the jobs server-side when a SUBMIT carries a spec instead of job rows.
   /// Empty means the workload travels out-of-band (an Instance/JobStream).
   std::string workload;
+  /// Identical machines (>= 1).
   int machines = 1;
-  /// Speed augmentation s (OPT is always measured at speed 1).
+  /// Speed augmentation s: each machine processes `speed` units of work per
+  /// unit time (finite, > 0).  OPT is always measured at speed 1.
   double speed = 1.0;
   /// Record the full rate trace (fairness + dual-fitting analyses need it;
   /// metrics-only runs can turn it off and skip the trace memory).
   bool record_trace = true;
-  /// Hide sizes from the policy; refused for clairvoyant policies.
+  /// Hide sizes from the policy (AliveJob::size/remaining = NaN); refused
+  /// for clairvoyant policies.
   bool hide_sizes = false;
+  /// Safety valve: abort if the simulated clock passes this.
   Time max_time = kInfiniteTime;
+  /// Safety valve: abort after this many engine iterations (guards against a
+  /// policy that returns pathological breakpoints).
   std::size_t max_steps = 50'000'000;
+  /// Fail fast after this many consecutive iterations that make no progress
+  /// at all (clock did not advance, no completion, no arrival) -- e.g. a
+  /// breakpoint too small to move the clock in floating point.
   std::size_t max_zero_progress_steps = 1000;
+  /// Route the run through FastForwardCore when the policy advertises a
+  /// FastForward capability (core/fast_forward.h).  Results are
+  /// byte-identical to the generic event loop; disable to force the generic
+  /// loop, e.g. for equivalence testing.  Streaming runs require it.
   bool use_fast_path = true;
   /// Invariant checking mode + sampling period (core/invariants.h); both
   /// serialize through the wire protocol and the CLI flag vocabulary.
+  /// kExhaustive additionally fails the run on any violation.
   InvariantMode invariants = default_invariant_mode();
   std::size_t invariant_sample_period = default_invariant_sample_period();
-  /// Live hooks; see EngineOptions.  Not serialized.
+  /// Live hooks (not serialized; must outlive the run).  `live` receives
+  /// every completion's flow time, so another thread can watch a run in
+  /// flight; the engine polls `cancel` once per event and throws
+  /// RunCancelled as soon as it reads true.
   LiveMetrics* live = nullptr;
   const std::atomic<bool>* cancel = nullptr;
-
-  /// The equivalent legacy options struct (live hooks included).
-  [[nodiscard]] EngineOptions engine_options() const;
 };
 
 /// Everything one run produces: the schedule (completions + optional trace),
@@ -152,7 +120,7 @@ struct RunResult {
   double wall_seconds = 0.0;
 };
 
-/// The epoch-coalescing kernel behind EngineOptions::use_fast_path.
+/// The epoch-coalescing kernel behind RunRequest::use_fast_path.
 ///
 /// Resolves a whole run for a FastForward-capable policy without ever
 /// querying the policy: between consecutive arrivals the closed-form rule
@@ -164,26 +132,32 @@ struct RunResult {
 /// before min, identical completion thresholds), so completion times and
 /// the full trace are byte-identical to the generic path.
 ///
-/// Buffers persist across runs, like EngineCore's.  Not thread-safe.
+/// Expects a request the EngineCore facade has already validated; writes
+/// the invariant layer's stats into `inv_stats` (before an exhaustive-mode
+/// violation throws).  Buffers persist across runs, like EngineCore's.  Not
+/// thread-safe.
 class FastForwardCore {
  public:
   [[nodiscard]] Schedule run(const Instance& instance, const FastForward& ff,
-                             const EngineOptions& options,
+                             const RunRequest& request,
                              std::string_view policy_name,
-                             const PolicyInvariantTraits& traits = {});
+                             const PolicyInvariantTraits& traits,
+                             InvariantStats& inv_stats);
   /// Streaming variant: admits arrivals straight from `stream` (see
   /// core/job_stream.h) so the run never materializes all n jobs at once.
   [[nodiscard]] Schedule run(JobStream& stream, const FastForward& ff,
-                             const EngineOptions& options,
+                             const RunRequest& request,
                              std::string_view policy_name,
-                             const PolicyInvariantTraits& traits = {});
+                             const PolicyInvariantTraits& traits,
+                             InvariantStats& inv_stats);
 
  private:
   template <typename Arrivals>
   Schedule run_impl(Arrivals& arrivals, Schedule schedule,
-                    const FastForward& ff, const EngineOptions& options,
+                    const FastForward& ff, const RunRequest& request,
                     std::string_view policy_name,
-                    const PolicyInvariantTraits& traits);
+                    const PolicyInvariantTraits& traits,
+                    InvariantStats& inv_stats);
 
   // Alive set: parallel arrays sorted by job id (trace rows want id order).
   // kUniformShare maintains ids_ only when a trace is recorded and leaves
@@ -238,7 +212,6 @@ class FastForwardCore {
 /// Not thread-safe; use one EngineCore per thread.
 class EngineCore {
  public:
-  // --- RunRequest facade (preferred) ---------------------------------------
   /// Runs the request's policy spec on `instance`.  Throws
   /// std::invalid_argument for a bad request or unknown policy spec,
   /// RunCancelled if request.cancel fires, std::runtime_error if the policy
@@ -255,25 +228,14 @@ class EngineCore {
   [[nodiscard]] RunResult run(JobStream& stream, Policy& policy,
                               const RunRequest& request);
 
-  // --- legacy entry points (deprecated shims over the facade) --------------
-  /// Runs `policy` on `instance` and returns the complete schedule.
-  /// Throws std::invalid_argument for bad options and std::runtime_error if
-  /// the policy misbehaves (invalid rates, deadlock, livelock, step
-  /// explosion).  Deprecated: prefer the RunRequest overloads.
-  [[nodiscard]] Schedule run(const Instance& instance, Policy& policy,
-                             const EngineOptions& options = {});
-
-  /// Streaming run: jobs are pulled from `stream` in release order and the
-  /// instance is never materialized.  Requires a FastForward-capable policy
-  /// and options.use_fast_path (throws std::invalid_argument otherwise);
-  /// use workload::materialize(stream) + run() for generic policies.
-  /// Deprecated: prefer the RunRequest overloads.
-  [[nodiscard]] Schedule run(JobStream& stream, Policy& policy,
-                             const EngineOptions& options = {});
-
  private:
-  [[nodiscard]] bool takes_fast_path(const Policy& policy,
-                                     const EngineOptions& options) const;
+  /// The generic event loop: queries `policy` at every event.  Expects a
+  /// validated request; writes invariant stats like FastForwardCore::run.
+  [[nodiscard]] Schedule run_event_loop(const Instance& instance,
+                                        Policy& policy,
+                                        const RunRequest& request,
+                                        InvariantStats& inv_stats);
+
   struct LiveJob {
     JobId id;
     Time release;

@@ -56,16 +56,7 @@ namespace tempofair {
 namespace {
 
 [[noreturn]] void engine_fail(const std::string& msg) {
-  throw std::runtime_error("tempofair::simulate: " + msg);
-}
-
-void validate_options(const EngineOptions& options) {
-  if (options.machines < 1) {
-    throw std::invalid_argument("simulate: machines must be >= 1");
-  }
-  if (!(options.speed > 0.0) || !std::isfinite(options.speed)) {
-    throw std::invalid_argument("simulate: speed must be positive and finite");
-  }
+  throw std::runtime_error("tempofair::run: " + msg);
 }
 
 void validate_descriptor(const FastForward& ff, std::string_view policy_name) {
@@ -215,51 +206,50 @@ class StreamArrivals {
 }  // namespace
 
 Schedule FastForwardCore::run(const Instance& instance, const FastForward& ff,
-                              const EngineOptions& options,
+                              const RunRequest& request,
                               std::string_view policy_name,
-                              const PolicyInvariantTraits& traits) {
-  validate_options(options);
+                              const PolicyInvariantTraits& traits,
+                              InvariantStats& inv_stats) {
   validate_descriptor(ff, policy_name);
   InstanceArrivals arrivals(instance);
-  return run_impl(arrivals, Schedule(instance, options.machines, options.speed),
-                  ff, options, policy_name, traits);
+  return run_impl(arrivals, Schedule(instance, request.machines, request.speed),
+                  ff, request, policy_name, traits, inv_stats);
 }
 
 Schedule FastForwardCore::run(JobStream& stream, const FastForward& ff,
-                              const EngineOptions& options,
+                              const RunRequest& request,
                               std::string_view policy_name,
-                              const PolicyInvariantTraits& traits) {
-  validate_options(options);
+                              const PolicyInvariantTraits& traits,
+                              InvariantStats& inv_stats) {
   validate_descriptor(ff, policy_name);
   StreamArrivals arrivals(stream);
   return run_impl(arrivals,
-                  Schedule(arrivals.total(), options.machines, options.speed),
-                  ff, options, policy_name, traits);
+                  Schedule(arrivals.total(), request.machines, request.speed),
+                  ff, request, policy_name, traits, inv_stats);
 }
 
 template <typename Arrivals>
 Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
                                    const FastForward& ff,
-                                   const EngineOptions& options,
+                                   const RunRequest& request,
                                    std::string_view policy_name,
-                                   const PolicyInvariantTraits& traits) {
+                                   const PolicyInvariantTraits& traits,
+                                   InvariantStats& inv_stats) {
   obs::ScopedTimer run_timer("engine.run");
-  schedule.set_trace_recorded(options.record_trace);
+  schedule.set_trace_recorded(request.record_trace);
 
   const std::size_t total_jobs = arrivals.total();
-  LiveMetrics* const live = options.live_metrics;
+  LiveMetrics* const live = request.live;
   if (live != nullptr) live->set_expected(total_jobs);
 
   inv_.begin_run(
-      InvariantRunProfile{options.machines, options.speed,
+      InvariantRunProfile{request.machines, request.speed,
                           std::string(policy_name), traits},
-      options.invariants, options.invariant_sample_period, &schedule);
+      request.invariants, request.invariant_sample_period, &schedule);
   auto finish_invariants = [&] {
     inv_.finish();
-    if (options.invariant_stats != nullptr) {
-      *options.invariant_stats = inv_.stats();
-    }
-    if (options.invariants == InvariantMode::kExhaustive) {
+    inv_stats = inv_.stats();
+    if (request.invariants == InvariantMode::kExhaustive) {
       throw_if_violated(inv_.stats(), policy_name);
     }
   };
@@ -271,9 +261,9 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     return schedule;
   }
 
-  const int machines = options.machines;
-  const double speed = options.speed;
-  const bool trace = options.record_trace;
+  const int machines = request.machines;
+  const double speed = request.speed;
+  const bool trace = request.record_trace;
   const std::string name(policy_name);
   const FastForwardKind kind = ff.kind;
 
@@ -310,7 +300,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
                          kind == FastForwardKind::kLevelPriority;
   // kUniformShare keeps only the ord_* arrays hot; the id-sorted alive list
   // exists purely to emit id-ordered trace rows.
-  const bool keep_ids = !uniform || options.record_trace;
+  const bool keep_ids = !uniform || request.record_trace;
 
   // Position of `id` in the id-sorted alive arrays.
   auto pos_of = [&](JobId id) -> std::size_t {
@@ -405,13 +395,13 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   std::vector<double> wrates;  // kWeightedShare per-event rates, id order
 
   while (alive_count() > 0 || !arrivals.exhausted()) {
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
+    if (request.cancel != nullptr &&
+        request.cancel->load(std::memory_order_relaxed)) {
       throw RunCancelled("tempofair::run: cancelled with policy " + name +
                          " at t=" + std::to_string(now));
     }
-    if (++steps > options.max_steps) {
-      engine_fail("exceeded max_steps=" + std::to_string(options.max_steps) +
+    if (++steps > request.max_steps) {
+      engine_fail("exceeded max_steps=" + std::to_string(request.max_steps) +
                   " with policy " + name);
     }
 
@@ -552,11 +542,11 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     if (!arrivals.exhausted()) {
       dt = std::min(dt, arrivals.peek_release() - now);
     }
-    if (std::isfinite(options.max_time)) {
-      if (now >= options.max_time) {
+    if (std::isfinite(request.max_time)) {
+      if (now >= request.max_time) {
         engine_fail("simulated clock passed max_time");
       }
-      dt = std::min(dt, options.max_time - now);
+      dt = std::min(dt, request.max_time - now);
     }
     if (!std::isfinite(dt)) {
       engine_fail("deadlock: policy " + name + " allocates zero rate to all " +
@@ -808,7 +798,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     // max_steps.
     if (now > step_start || !completing_.empty() || admitted > 0) {
       zero_progress_streak = 0;
-    } else if (++zero_progress_streak >= options.max_zero_progress_steps) {
+    } else if (++zero_progress_streak >= request.max_zero_progress_steps) {
       engine_fail("livelock: " + std::to_string(zero_progress_streak) +
                   " consecutive zero-progress fast-path events (no clock "
                   "advance, completion, or arrival) with policy " +

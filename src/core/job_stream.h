@@ -14,8 +14,8 @@
 //       with id == i, release nondecreasing in i, size > 0, weight > 0,
 //       all finite and releases >= 0.
 //
-// Generators live in workload/stream.h; InstanceJobStream adapts an
-// existing Instance for tests and equivalence checks.
+// Generators live in workload/source.h; workload::InstanceRefStream adapts
+// an existing Instance for tests and equivalence checks.
 #pragma once
 
 #include <cstddef>

@@ -50,11 +50,11 @@ struct FlowStats {
 
 /// Incremental flow-time metrics over a run still in flight.
 ///
-/// The engine appends one flow per completion (RunRequest::live /
-/// EngineOptions::live_metrics); any other thread may snapshot percentiles
-/// and l_k norms of the completed-so-far prefix concurrently.  This is the
-/// mid-run observability primitive behind tempofaird's QUERY_METRICS: a
-/// tenant watches p99 / l_2 of its workload while the simulation runs.
+/// The engine appends one flow per completion (RunRequest::live); any other
+/// thread may snapshot percentiles and l_k norms of the completed-so-far
+/// prefix concurrently.  This is the mid-run observability primitive behind
+/// tempofaird's QUERY_METRICS: a tenant watches p99 / l_2 of its workload
+/// while the simulation runs.
 ///
 /// Thread-safe.  Completion-granular (locks once per completed job, never
 /// per engine event), so it adds no measurable cost to the fast path.

@@ -505,8 +505,8 @@ Frame Daemon::handle_submit(const std::shared_ptr<Session>& session,
       run->cancel.store(true);
       if (run->stream != nullptr) run->stream->abort(why);
       if (!run->dispatched) {
-        run->finish(RunPhase::kFailed, why);
         if (session->active_runs > 0) --session->active_runs;
+        run->finish(RunPhase::kFailed, why);
       }
     }
     return make_error(ErrorCode::kBadRequest, why);
@@ -645,9 +645,11 @@ Frame Daemon::handle_cancel(const std::shared_ptr<Session>& session,
     session->open.erase(run->tag);
   }
   if (!enqueued) {
+    {
+      std::lock_guard lock(session->mutex);
+      if (session->active_runs > 0) --session->active_runs;
+    }
     run->finish(RunPhase::kCancelled, "cancelled by client");
-    std::lock_guard lock(session->mutex);
-    if (session->active_runs > 0) --session->active_runs;
   }
   session->sink.add("runs.cancel_requested", 1);
   CancelOkMsg ok;
@@ -757,8 +759,11 @@ void Daemon::dispatch_loop() {
 
 void Daemon::execute_run(const std::shared_ptr<Session>& session,
                          const std::shared_ptr<RunState>& run) {
+  RunPhase outcome = RunPhase::kDone;
+  std::string error_text;
   if (run->cancel.load()) {
-    run->finish(RunPhase::kCancelled, "cancelled before start");
+    outcome = RunPhase::kCancelled;
+    error_text = "cancelled before start";
   } else {
     {
       std::lock_guard lock(run->mutex);
@@ -796,23 +801,28 @@ void Daemon::execute_run(const std::shared_ptr<Session>& session,
         global_stats_.add("runs.invariant_violations",
                           run->invariants.violations);
       }
-      run->finish(RunPhase::kDone);
       session->sink.add("runs.done", 1);
       global_stats_.add("runs.done", 1);
     } catch (const RunCancelled& e) {
-      run->finish(RunPhase::kCancelled, e.what());
+      outcome = RunPhase::kCancelled;
+      error_text = e.what();
       session->sink.add("runs.cancelled", 1);
       global_stats_.add("runs.cancelled", 1);
     } catch (const std::exception& e) {
-      run->finish(RunPhase::kFailed, e.what());
+      outcome = RunPhase::kFailed;
+      error_text = e.what();
       session->sink.add("runs.failed", 1);
       global_stats_.add("runs.failed", 1);
     }
   }
+  // Free the tenant's slot BEFORE publishing the terminal phase: a client
+  // that submits the moment wait() returns must find the slot released.
   {
     std::lock_guard lock(session->mutex);
     if (session->active_runs > 0) --session->active_runs;
   }
+  run->finish(outcome, std::move(error_text));
+  // in_flight_ drops last, so stop() still waits for this worker to finish.
   {
     std::lock_guard lock(dispatch_mutex_);
     --in_flight_;

@@ -85,60 +85,6 @@ std::string dist_name(const SizeDist& dist) {
   return os.str();
 }
 
-namespace detail {
-
-Instance poisson_stream(std::size_t n, double lambda, const SizeDist& dist,
-                        Rng& rng) {
-  if (!(lambda > 0.0)) {
-    throw std::invalid_argument("poisson_stream: lambda must be > 0");
-  }
-  std::vector<Job> jobs;
-  jobs.reserve(n);
-  Time t = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    t += rng.exponential(1.0 / lambda);
-    jobs.push_back(Job{static_cast<JobId>(i), t, draw_size(dist, rng)});
-  }
-  return Instance::from_jobs(std::move(jobs));
-}
-
-Instance poisson_load(std::size_t n, int machines, double utilization,
-                      const SizeDist& dist, Rng& rng) {
-  if (!(utilization > 0.0) || utilization > 1.5) {
-    throw std::invalid_argument("poisson_load: utilization outside (0, 1.5]");
-  }
-  if (machines < 1) throw std::invalid_argument("poisson_load: machines < 1");
-  const double lambda = utilization * machines / mean_size(dist);
-  return detail::poisson_stream(n, lambda, dist, rng);
-}
-
-Instance bursty_stream(std::size_t bursts, std::size_t per_burst, double gap,
-                       const SizeDist& dist, Rng& rng) {
-  if (!(gap > 0.0)) throw std::invalid_argument("bursty_stream: gap must be > 0");
-  std::vector<Job> jobs;
-  jobs.reserve(bursts * per_burst);
-  JobId id = 0;
-  for (std::size_t b = 0; b < bursts; ++b) {
-    const Time t = static_cast<double>(b) * gap;
-    for (std::size_t i = 0; i < per_burst; ++i) {
-      jobs.push_back(Job{id++, t, draw_size(dist, rng)});
-    }
-  }
-  return Instance::from_jobs(std::move(jobs));
-}
-
-Instance uniform_stream(std::size_t n, double gap, double size, Time start) {
-  if (!(gap >= 0.0)) throw std::invalid_argument("uniform_stream: gap must be >= 0");
-  std::vector<Job> jobs;
-  jobs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    jobs.push_back(Job{static_cast<JobId>(i), start + static_cast<double>(i) * gap, size});
-  }
-  return Instance::from_jobs(std::move(jobs));
-}
-
-}  // namespace detail
-
 Instance with_weights(const Instance& instance, WeightScheme scheme, Rng& rng) {
   std::vector<Job> jobs(instance.jobs().begin(), instance.jobs().end());
   for (Job& j : jobs) {

@@ -1,9 +1,10 @@
 // Randomized workload generators.
 //
 // The paper's model is adversarial; for the typical-case side of the
-// experiment suite we generate stochastic streams: Poisson arrivals with a
-// pluggable size distribution, calibrated to a target utilization
-// rho = lambda * E[size] / m (rho < 1 keeps speed-1 schedulers stable).
+// experiment suite we generate stochastic workloads with a pluggable size
+// distribution.  The workloads themselves are named by a WorkloadSpec and
+// built by workload::make_source() / make_instance() (workload/spec.h,
+// workload/source.h); this header holds the building blocks they share.
 #pragma once
 
 #include <variant>
@@ -48,61 +49,6 @@ using SizeDist =
 [[nodiscard]] double mean_size(const SizeDist& dist);
 /// Short human-readable name, e.g. "pareto(1.8)".
 [[nodiscard]] std::string dist_name(const SizeDist& dist);
-
-// --- Streams ----------------------------------------------------------------
-//
-// The materializing generator functions below are DEPRECATED one-release
-// shims: describe the workload with a WorkloadSpec and build it through
-// workload::make_source() / make_instance() (workload/spec.h,
-// workload/source.h) instead, which names the same workloads with one
-// portable spec string.  The detail:: implementations remain the single
-// source of truth -- the spec layer calls them, so a spec-built workload is
-// bitwise-identical to the legacy call with the same Rng.
-
-namespace detail {
-[[nodiscard]] Instance poisson_stream(std::size_t n, double lambda,
-                                      const SizeDist& dist, Rng& rng);
-[[nodiscard]] Instance poisson_load(std::size_t n, int machines,
-                                    double utilization, const SizeDist& dist,
-                                    Rng& rng);
-[[nodiscard]] Instance bursty_stream(std::size_t bursts, std::size_t per_burst,
-                                     double gap, const SizeDist& dist,
-                                     Rng& rng);
-[[nodiscard]] Instance uniform_stream(std::size_t n, double gap, double size,
-                                      Time start = 0.0);
-}  // namespace detail
-
-/// n jobs, Poisson arrivals with rate `lambda`, iid sizes from `dist`.
-[[deprecated("build via WorkloadSpec + workload::make_instance() (workload/spec.h)")]]
-[[nodiscard]] inline Instance poisson_stream(std::size_t n, double lambda,
-                                             const SizeDist& dist, Rng& rng) {
-  return detail::poisson_stream(n, lambda, dist, rng);
-}
-
-/// Poisson stream calibrated so that utilization lambda*E[size]/machines
-/// equals `utilization` (must be in (0, 1.5]; > 1 deliberately overloads).
-[[deprecated("build via WorkloadSpec::poisson() + workload::make_instance()")]]
-[[nodiscard]] inline Instance poisson_load(std::size_t n, int machines,
-                                           double utilization,
-                                           const SizeDist& dist, Rng& rng) {
-  return detail::poisson_load(n, machines, utilization, dist, rng);
-}
-
-/// `bursts` bursts of `per_burst` jobs each, bursts spaced `gap` apart,
-/// iid sizes from `dist`.
-[[deprecated("build via WorkloadSpec::bursty() + workload::make_instance()")]]
-[[nodiscard]] inline Instance bursty_stream(std::size_t bursts,
-                                            std::size_t per_burst, double gap,
-                                            const SizeDist& dist, Rng& rng) {
-  return detail::bursty_stream(bursts, per_burst, gap, dist, rng);
-}
-
-/// Deterministic stream: n jobs of size `size`, released every `gap`.
-[[deprecated("build via WorkloadSpec::uniform() + workload::make_instance()")]]
-[[nodiscard]] inline Instance uniform_stream(std::size_t n, double gap,
-                                             double size, Time start = 0.0) {
-  return detail::uniform_stream(n, gap, size, start);
-}
 
 // --- Weight assignment (for weighted-flow experiments) ----------------------
 

@@ -100,21 +100,37 @@ enum class Weights { kNone, kRandom, kInverseSize, kProportionalSize };
 
 // --- streams owned by their randomness --------------------------------------
 
-/// detail::PoissonStream plus the Rng/SizeDist it draws from, so a source
-/// can hand out self-contained streams.
-class OwningPoissonStream final : public JobStream {
+/// Poisson arrivals with rate `lambda`, iid sizes from `dist`; job i is the
+/// i-th arrival, so ids are sequential in release order (contract S2).
+/// Each next() draws the inter-arrival gap, then the size.
+class PoissonStream final : public JobStream {
  public:
-  OwningPoissonStream(std::size_t n, double lambda, const SizeDist& dist,
-                      std::uint64_t seed)
-      : dist_(dist), rng_(seed), inner_(n, lambda, dist_, rng_) {}
+  PoissonStream(std::size_t n, double lambda, const SizeDist& dist,
+                std::uint64_t seed)
+      : n_(n), lambda_(lambda), dist_(dist), rng_(seed) {
+    if (!(lambda > 0.0)) {
+      throw std::invalid_argument("PoissonStream: lambda must be > 0");
+    }
+  }
 
-  [[nodiscard]] std::size_t n() const noexcept override { return inner_.n(); }
-  [[nodiscard]] Job next() override { return inner_.next(); }
+  [[nodiscard]] std::size_t n() const noexcept override { return n_; }
+  [[nodiscard]] Job next() override {
+    if (emitted_ == n_) {
+      throw std::logic_error("PoissonStream: next() called past n()");
+    }
+    clock_ += rng_.exponential(1.0 / lambda_);
+    const Job j{static_cast<JobId>(emitted_), clock_, draw_size(dist_, rng_)};
+    ++emitted_;
+    return j;
+  }
 
  private:
+  std::size_t n_;
+  double lambda_;
   SizeDist dist_;
   Rng rng_;
-  detail::PoissonStream inner_;
+  std::size_t emitted_ = 0;
+  Time clock_ = 0.0;
 };
 
 /// Two-state Markov-modulated Poisson process: dwell times are exponential
@@ -166,7 +182,7 @@ class MmppStream final : public JobStream {
   Time clock_ = 0.0;
 };
 
-/// detail::InstanceRefStream plus shared ownership of the instance.
+/// InstanceRefStream plus shared ownership of the instance.
 class OwningInstanceStream final : public JobStream {
  public:
   explicit OwningInstanceStream(std::shared_ptr<const Instance> instance)
@@ -177,7 +193,7 @@ class OwningInstanceStream final : public JobStream {
 
  private:
   std::shared_ptr<const Instance> instance_;
-  detail::InstanceRefStream inner_;
+  InstanceRefStream inner_;
 };
 
 // --- sources -----------------------------------------------------------------
@@ -198,11 +214,11 @@ class PoissonSource final : public WorkloadSource {
   }
   [[nodiscard]] std::unique_ptr<JobStream> stream() override {
     if (!streamable()) return WorkloadSource::stream();  // throws
-    return std::make_unique<OwningPoissonStream>(n_, lambda_, spec().dist(),
-                                                 spec().seed());
+    return std::make_unique<PoissonStream>(n_, lambda_, spec().dist(),
+                                           spec().seed());
   }
   [[nodiscard]] Instance instance() override {
-    OwningPoissonStream s(n_, lambda_, spec().dist(), spec().seed());
+    PoissonStream s(n_, lambda_, spec().dist(), spec().seed());
     return apply_weights(materialize(s), weights_, spec().seed());
   }
 
@@ -352,18 +368,36 @@ std::unique_ptr<WorkloadSource> make_source(const WorkloadSpec& spec) {
       throw SpecError("workload spec '" + spec.to_string() +
                       "': start must be >= 0");
     }
+    const std::size_t n = spec_count(spec, "n", 100);
+    const double size = spec_positive(spec, "size", 1.0);
+    std::vector<Job> jobs;
+    jobs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      jobs.push_back(Job{static_cast<JobId>(i),
+                         start + static_cast<double>(i) * gap, size});
+    }
     return std::make_unique<MaterializedSource>(
-        spec, detail::uniform_stream(spec_count(spec, "n", 100), gap,
-                                     spec_positive(spec, "size", 1.0), start));
+        spec, Instance::from_jobs(std::move(jobs)));
   }
   if (kind == "bursty") {
     check_keys(spec, {"bursts", "per", "gap", "dist", "seed", "weights"});
+    const std::size_t bursts = spec_count(spec, "bursts", 10);
+    const std::size_t per = spec_count(spec, "per", 10);
+    const double gap = spec_positive(spec, "gap", 10.0);
+    const SizeDist dist = spec.dist();
     Rng rng(spec.seed());
-    Instance inst = detail::bursty_stream(
-        spec_count(spec, "bursts", 10), spec_count(spec, "per", 10),
-        spec_positive(spec, "gap", 10.0), spec.dist(), rng);
+    std::vector<Job> jobs;
+    jobs.reserve(bursts * per);
+    for (std::size_t b = 0; b < bursts; ++b) {
+      for (std::size_t i = 0; i < per; ++i) {
+        jobs.push_back(Job{static_cast<JobId>(jobs.size()),
+                           static_cast<double>(b) * gap,
+                           draw_size(dist, rng)});
+      }
+    }
     return std::make_unique<MaterializedSource>(
-        spec, apply_weights(std::move(inst), spec_weights(spec), spec.seed()));
+        spec, apply_weights(Instance::from_jobs(std::move(jobs)),
+                            spec_weights(spec), spec.seed()));
   }
   if (kind == "adv-rr-l2-hard") {
     check_keys(spec, {"n"});

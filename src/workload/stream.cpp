@@ -7,42 +7,6 @@
 
 namespace tempofair::workload {
 
-namespace detail {
-
-PoissonStream::PoissonStream(std::size_t n, double lambda, const SizeDist& dist,
-                             Rng& rng)
-    : n_(n), lambda_(lambda), dist_(&dist), rng_(&rng) {
-  if (!(lambda > 0.0)) {
-    throw std::invalid_argument("PoissonStream: lambda must be > 0");
-  }
-}
-
-Job PoissonStream::next() {
-  if (emitted_ == n_) {
-    throw std::logic_error("PoissonStream: next() called past n()");
-  }
-  // Identical draw order to detail::poisson_stream(): inter-arrival gap,
-  // then size.
-  clock_ += rng_->exponential(1.0 / lambda_);
-  const Job j{static_cast<JobId>(emitted_), clock_, draw_size(*dist_, *rng_)};
-  ++emitted_;
-  return j;
-}
-
-PoissonStream poisson_load_stream(std::size_t n, int machines,
-                                  double utilization, const SizeDist& dist,
-                                  Rng& rng) {
-  if (!(utilization > 0.0) || utilization > 1.5) {
-    throw std::invalid_argument(
-        "poisson_load_stream: utilization outside (0, 1.5]");
-  }
-  if (machines < 1) {
-    throw std::invalid_argument("poisson_load_stream: machines < 1");
-  }
-  const double lambda = utilization * machines / mean_size(dist);
-  return PoissonStream(n, lambda, dist, rng);
-}
-
 InstanceRefStream::InstanceRefStream(const Instance& instance)
     : instance_(&instance) {
   const std::span<const JobId> order = instance.release_order();
@@ -64,8 +28,6 @@ Job InstanceRefStream::next() {
   }
   return instance_->job(static_cast<JobId>(next_++));
 }
-
-}  // namespace detail
 
 Instance materialize(JobStream& stream) {
   std::vector<Job> jobs;

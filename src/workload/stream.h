@@ -1,63 +1,25 @@
-// Streaming workload generators (core/job_stream.h implementations).
+// Streaming adapters around core/job_stream.h.
 //
-// Materializing generators stage every job before the engine sees the first
-// one; at a million jobs that is an O(n) allocation spike paid purely for
-// staging.  detail::PoissonStream draws the *identical* RNG sequence one job
-// at a time, so the engine's fast path admits arrivals straight from the
-// generator and the run's footprint is the alive set plus the trace --
-// never the full instance.  Seeding one Rng for detail::poisson_stream and
-// another identically for detail::PoissonStream yields bitwise-equal jobs,
-// which is what the equivalence tests rely on.
-//
-// Callers should not name these concrete classes directly any more: describe
-// the workload with a WorkloadSpec and obtain the stream from
-// workload::make_source() (workload/source.h).  The old public spellings
-// (PoissonJobStream, InstanceJobStream, poisson_load_stream) remain as
-// [[deprecated]] one-release aliases/shims below.
+// The generator streams themselves (Poisson, MMPP, trace replay) are built
+// from a WorkloadSpec by workload::make_source() (workload/source.h).  This
+// header holds the two adapters between streams and materialized
+// instances: InstanceRefStream replays an Instance as a JobStream (for
+// equivalence tests and replay), and materialize() drains a stream into an
+// Instance (for the generic engine loop or a non-streaming analysis).
 #pragma once
 
 #include <cstddef>
 
 #include "core/instance.h"
 #include "core/job_stream.h"
-#include "workload/generators.h"
-#include "workload/rng.h"
 
 namespace tempofair::workload {
 
-namespace detail {
-
-/// Poisson arrivals with rate `lambda`, iid sizes from `dist`; job i is the
-/// i-th arrival, so ids are sequential in release order (contract S2).
-/// Draws from `rng` lazily in next(), in exactly detail::poisson_stream()'s
-/// order.  The Rng and SizeDist must outlive the stream.
-class PoissonStream final : public JobStream {
- public:
-  PoissonStream(std::size_t n, double lambda, const SizeDist& dist, Rng& rng);
-
-  [[nodiscard]] std::size_t n() const noexcept override { return n_; }
-  [[nodiscard]] Job next() override;
-
- private:
-  std::size_t n_;
-  double lambda_;
-  const SizeDist* dist_;
-  Rng* rng_;
-  std::size_t emitted_ = 0;
-  Time clock_ = 0.0;
-};
-
-/// PoissonStream calibrated like detail::poisson_load(): lambda chosen so
-/// that utilization lambda*E[size]/machines equals `utilization` in (0, 1.5].
-[[nodiscard]] PoissonStream poisson_load_stream(std::size_t n, int machines,
-                                                double utilization,
-                                                const SizeDist& dist, Rng& rng);
-
-/// Adapts a materialized Instance as a JobStream, for equivalence tests and
-/// trace replay.  Requires the instance's ids to already be sequential in
-/// release order (true for the generator outputs); throws
-/// std::invalid_argument otherwise, since relabeling would silently change
-/// the id -> job mapping being compared.
+/// Adapts a materialized Instance as a JobStream.  Requires the instance's
+/// ids to already be sequential in release order (true for the generator
+/// outputs); throws std::invalid_argument otherwise, since relabeling would
+/// silently change the id -> job mapping being compared.  The instance must
+/// outlive the stream.
 class InstanceRefStream final : public JobStream {
  public:
   explicit InstanceRefStream(const Instance& instance);
@@ -70,28 +32,7 @@ class InstanceRefStream final : public JobStream {
   std::size_t next_ = 0;
 };
 
-}  // namespace detail
-
-/// Deprecated spelling of detail::PoissonStream; build streams through
-/// workload::make_source() instead.
-using PoissonJobStream
-    [[deprecated("build via WorkloadSpec + workload::make_source()")]] =
-        detail::PoissonStream;
-
-/// Deprecated spelling of detail::InstanceRefStream.
-using InstanceJobStream
-    [[deprecated("build via WorkloadSpec + workload::make_source()")]] =
-        detail::InstanceRefStream;
-
-[[deprecated("build via WorkloadSpec::poisson() + workload::make_source()")]]
-[[nodiscard]] inline detail::PoissonStream poisson_load_stream(
-    std::size_t n, int machines, double utilization, const SizeDist& dist,
-    Rng& rng) {
-  return detail::poisson_load_stream(n, machines, utilization, dist, rng);
-}
-
-/// Drains `stream` into a materialized Instance (for running the same
-/// workload through the generic engine loop or a non-streaming analysis).
+/// Drains `stream` into a materialized Instance.
 [[nodiscard]] Instance materialize(JobStream& stream);
 
 }  // namespace tempofair::workload

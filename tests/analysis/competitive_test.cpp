@@ -4,15 +4,15 @@
 
 #include "policies/priority_policies.h"
 #include "policies/round_robin.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair::analysis {
 namespace {
 
 TEST(MeasureRatio, BracketIsOrdered) {
-  workload::Rng rng(3);
   const Instance inst =
-      workload::poisson_load(30, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          30, 0.9, workload::ExponentialSize{1.0}, 3));
   RoundRobin rr;
   RatioOptions opt;
   opt.k = 2.0;
@@ -27,9 +27,9 @@ TEST(MeasureRatio, SrptAtSpeedOneHasProxyRatioAtMostOne) {
   // when SJF beats it; in all cases cost >= proxy means ratio >= 1... the
   // proxy is the min, so SRPT's cost / proxy >= 1, with equality when SRPT
   // is the better of the two.
-  workload::Rng rng(5);
   const Instance inst =
-      workload::poisson_load(30, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          30, 0.9, workload::ExponentialSize{1.0}, 5));
   Srpt srpt;
   RatioOptions opt;
   opt.k = 2.0;
@@ -39,9 +39,9 @@ TEST(MeasureRatio, SrptAtSpeedOneHasProxyRatioAtMostOne) {
 }
 
 TEST(MeasureRatio, SpeedReducesRatio) {
-  workload::Rng rng(7);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.95, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.95, workload::ExponentialSize{1.0}, 7));
   lpsolve::OptBoundsOptions bo;
   bo.k = 2.0;
   bo.with_lp = false;
@@ -59,9 +59,9 @@ TEST(MeasureRatio, SpeedReducesRatio) {
 }
 
 TEST(MeasureRatio, ReusedBoundsMatchFreshOnes) {
-  workload::Rng rng(11);
   const Instance inst =
-      workload::poisson_load(25, 1, 0.85, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          25, 0.85, workload::ExponentialSize{1.0}, 11));
   RoundRobin rr1, rr2;
   RatioOptions opt;
   opt.k = 2.0;
@@ -73,9 +73,9 @@ TEST(MeasureRatio, ReusedBoundsMatchFreshOnes) {
 }
 
 TEST(MeasureRatio, LbCertifiedPropagatesFromBounds) {
-  workload::Rng rng(17);
   const Instance inst =
-      workload::poisson_load(25, 1, 0.85, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          25, 0.85, workload::ExponentialSize{1.0}, 17));
   RoundRobin rr;
   RatioOptions opt;
   opt.k = 2.0;
@@ -103,9 +103,9 @@ TEST(MeasureRatio, DenormalLowerBoundFlagsDegenerate) {
 }
 
 TEST(MeasureRatio, HealthyLowerBoundIsNotFlagged) {
-  workload::Rng rng(19);
   const Instance inst =
-      workload::poisson_load(20, 1, 0.8, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          20, 0.8, workload::ExponentialSize{1.0}, 19));
   RoundRobin rr;
   RatioOptions opt;
   opt.k = 2.0;
@@ -116,9 +116,9 @@ TEST(MeasureRatio, HealthyLowerBoundIsNotFlagged) {
 }
 
 TEST(MeasureRatio, RecordsConfiguration) {
-  workload::Rng rng(13);
   const Instance inst =
-      workload::poisson_load(20, 2, 0.8, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          20, 0.8, workload::ExponentialSize{1.0}, 13, 2));
   RoundRobin rr;
   RatioOptions opt;
   opt.k = 3.0;

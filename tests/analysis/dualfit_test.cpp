@@ -11,24 +11,26 @@
 #include "policies/round_robin.h"
 #include "workload/adversarial.h"
 #include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair::analysis {
 namespace {
 
 Schedule run_rr(const Instance& inst, double speed, int machines = 1) {
   RoundRobin rr;
-  EngineOptions eo;
-  eo.speed = speed;
-  eo.machines = machines;
-  eo.record_trace = true;
-  return EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.speed = speed;
+  req.machines = machines;
+  req.record_trace = true;
+  return run(inst, rr, req).schedule;
 }
 
 TEST(DualFit, RequiresTrace) {
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const Schedule s = EngineCore().run(Instance::batch(std::vector<Work>{1.0}), rr, eo);
+  RunRequest req;
+  req.record_trace = false;
+  const Schedule s = run(
+      Instance::batch(std::vector<Work>{1.0}), rr, req).schedule;
   EXPECT_THROW((void)dual_fit_certificate(s, DualFitOptions{}),
                std::invalid_argument);
 }
@@ -72,9 +74,9 @@ TEST(DualFit, SingleJobAlphaByHand) {
 
 TEST(DualFit, Lemma2IsExactIdentity) {
   // Lemma 2's proof is an identity: beta_term == (1+delta)(1/2-3eps) RR^k.
-  workload::Rng rng(7);
   const Instance inst =
-      workload::poisson_load(50, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          50, 0.9, workload::ExponentialSize{1.0}, 7));
   const double k = 2.0, eps = 0.05;
   const Schedule s = run_rr(inst, theorem1_speed(k, eps));
   DualFitOptions opt;
@@ -96,9 +98,9 @@ class DualFitTheoremSweep : public ::testing::TestWithParam<DualFitCase> {};
 TEST_P(DualFitTheoremSweep, CertificateValidAtTheoremSpeed) {
   const auto [k, machines, seed] = GetParam();
   const double eps = 0.05;  // <= 1/15, see header note on Lemma 4
-  workload::Rng rng(seed);
-  const Instance inst = workload::poisson_load(
-      60, machines, 0.95, workload::ExponentialSize{1.5}, rng);
+  const Instance inst = workload::make_instance(
+      workload::WorkloadSpec::poisson(60, 0.95, workload::ExponentialSize{1.5},
+                                      seed, machines));
   const Schedule s = run_rr(inst, theorem1_speed(k, eps), machines);
   DualFitOptions opt;
   opt.k = k;
@@ -175,9 +177,9 @@ TEST(DualFit, FeasibilityMarginShrinksAtLowSpeedWithTightGamma) {
 TEST(DualFit, DualObjectiveAtMostGammaLpValue) {
   // Weak duality: a feasible dual's objective is at most the gamma-scaled
   // LP optimum (checked against the MCMF solve of the same LP).
-  workload::Rng rng(23);
-  const Instance inst = workload::poisson_load(
-      20, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
+  const Instance inst = workload::make_instance(
+      workload::WorkloadSpec::poisson(20, 0.8, workload::UniformSize{0.5, 2.0},
+                                      23));
   const double k = 2.0, eps = 0.05;
   const Schedule s = run_rr(inst, theorem1_speed(k, eps));
   DualFitOptions opt;
@@ -199,9 +201,9 @@ TEST(DualFit, DualObjectiveAtMostGammaLpValue) {
 TEST(DualFit, ImpliedRatioBoundsMeasuredRatio) {
   // The certificate's implied l_k ratio must upper-bound the actually
   // measured RR-vs-proxy ratio (since proxy >= OPT).
-  workload::Rng rng(29);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::ExponentialSize{1.0}, 29));
   const double k = 2.0, eps = 0.05;
   const Schedule s = run_rr(inst, theorem1_speed(k, eps));
   DualFitOptions opt;

@@ -28,12 +28,14 @@
 #include "workload/adversarial.h"
 #include "workload/generators.h"
 #include "workload/rng.h"
-#include "workload/stream.h"
+#include "workload/source.h"
 
 namespace tempofair {
 namespace {
 
 constexpr std::uint64_t kSeed = 20260806;
+
+using workload::WorkloadSpec;
 
 [[nodiscard]] std::uint64_t bits(double x) {
   return std::bit_cast<std::uint64_t>(x);
@@ -119,9 +121,9 @@ const std::vector<std::string> kFastPolicies = {
 
 TEST(FastForwardEquivalence, PoissonInstances) {
   for (const int machines : {1, 4}) {
-    workload::Rng rng(kSeed + static_cast<std::uint64_t>(machines));
-    const Instance instance = workload::poisson_load(
-        500, machines, 0.9, workload::ExponentialSize{1.5}, rng);
+    const Instance instance = workload::make_instance(WorkloadSpec::poisson(
+        500, 0.9, workload::ExponentialSize{1.5},
+        kSeed + static_cast<std::uint64_t>(machines), machines));
     for (const std::string& policy : kFastPolicies) {
       run_both_and_compare(instance, policy, machines, /*record_trace=*/true);
     }
@@ -132,9 +134,9 @@ TEST(FastForwardEquivalence, PoissonTraceOff) {
   // Trace-off exercises a different kUniformShare code path (the id-sorted
   // alive list is not maintained at all), so it gets its own sweep.
   for (const int machines : {1, 4}) {
-    workload::Rng rng(kSeed + 17 + static_cast<std::uint64_t>(machines));
-    const Instance instance = workload::poisson_load(
-        500, machines, 0.95, workload::ExponentialSize{2.0}, rng);
+    const Instance instance = workload::make_instance(WorkloadSpec::poisson(
+        500, 0.95, workload::ExponentialSize{2.0},
+        kSeed + 17 + static_cast<std::uint64_t>(machines), machines));
     for (const std::string& policy : kFastPolicies) {
       run_both_and_compare(instance, policy, machines, /*record_trace=*/false);
     }
@@ -160,10 +162,9 @@ TEST(FastForwardEquivalence, AdversarialInstances) {
 }
 
 TEST(FastForwardEquivalence, RandomWeightsExerciseWeightedShare) {
-  workload::Rng rng(kSeed + 99);
   workload::Rng wrng(kSeed + 100);
-  const Instance base = workload::poisson_load(
-      300, 2, 0.9, workload::ExponentialSize{1.0}, rng);
+  const Instance base = workload::make_instance(WorkloadSpec::poisson(
+      300, 0.9, workload::ExponentialSize{1.0}, kSeed + 99, 2));
   const Instance weighted =
       workload::with_weights(base, workload::WeightScheme::kRandom, wrng);
   run_both_and_compare(weighted, "wprr", 2, /*record_trace=*/true);
@@ -171,9 +172,8 @@ TEST(FastForwardEquivalence, RandomWeightsExerciseWeightedShare) {
 }
 
 TEST(FastForwardEquivalence, SpeedAugmentationAndBursts) {
-  workload::Rng rng(kSeed + 7);
-  const Instance instance = workload::bursty_stream(
-      8, 25, 15.0, workload::ExponentialSize{1.2}, rng);
+  const Instance instance = workload::make_instance(WorkloadSpec::bursty(
+      8, 25, 15.0, workload::ExponentialSize{1.2}, kSeed + 7));
   for (const double speed : {1.0, 2.5}) {
     for (const std::string& policy : kFastPolicies) {
       SCOPED_TRACE("speed=" + std::to_string(speed));
@@ -188,14 +188,10 @@ TEST(FastForwardEquivalence, StreamingMatchesMaterialized) {
   // equals the generic loop (transitively checked above).
   for (const int machines : {1, 4}) {
     SCOPED_TRACE("m=" + std::to_string(machines));
-    const workload::SizeDist dist{workload::ExponentialSize{1.5}};
-    workload::Rng inst_rng(kSeed + 31);
-    const Instance instance =
-        workload::poisson_load(2000, machines, 0.9, dist, inst_rng);
-
-    workload::Rng stream_rng(kSeed + 31);
-    workload::PoissonJobStream stream =
-        workload::poisson_load_stream(2000, machines, 0.9, dist, stream_rng);
+    const auto source = workload::make_source(WorkloadSpec::poisson(
+        2000, 0.9, workload::ExponentialSize{1.5}, kSeed + 31, machines));
+    const Instance instance = source->instance();
+    const std::unique_ptr<JobStream> stream = source->stream();
 
     RunRequest request;
     request.policy = "rr";
@@ -203,7 +199,7 @@ TEST(FastForwardEquivalence, StreamingMatchesMaterialized) {
     request.record_trace = true;
     request.invariants = InvariantMode::kExhaustive;
     const RunResult from_instance = run(instance, request);
-    const RunResult from_stream = run(stream, request);
+    const RunResult from_stream = run(*stream, request);
     EXPECT_TRUE(from_stream.invariants.ok())
         << summarize(from_stream.invariants);
     expect_identical(from_stream.schedule, from_instance.schedule);
@@ -217,13 +213,10 @@ TEST(FastForwardEquivalence, MillionJobStreamMatchesEventLoop) {
   // ~1 s and the comparison to the part that matters here (completions;
   // trace equality at scale is covered above at smaller n).
   const std::size_t n = 1'000'000;
-  const workload::SizeDist dist{workload::ExponentialSize{1.5}};
-  workload::Rng inst_rng(kSeed + 63);
-  const Instance instance = workload::poisson_load(n, 1, 0.9, dist, inst_rng);
-
-  workload::Rng stream_rng(kSeed + 63);
-  workload::PoissonJobStream stream =
-      workload::poisson_load_stream(n, 1, 0.9, dist, stream_rng);
+  const auto source = workload::make_source(WorkloadSpec::poisson(
+      n, 0.9, workload::ExponentialSize{1.5}, kSeed + 63));
+  const Instance instance = source->instance();
+  const std::unique_ptr<JobStream> stream = source->stream();
 
   RunRequest fast_req;
   fast_req.policy = "rr";
@@ -232,7 +225,7 @@ TEST(FastForwardEquivalence, MillionJobStreamMatchesEventLoop) {
   RunRequest slow_req = fast_req;
   slow_req.use_fast_path = false;
 
-  const RunResult fast = run(stream, fast_req);
+  const RunResult fast = run(*stream, fast_req);
   const RunResult slow = run(instance, slow_req);
   EXPECT_TRUE(fast.invariants.ok()) << summarize(fast.invariants);
   ASSERT_EQ(fast.schedule.n(), n);

@@ -1,5 +1,5 @@
-// The RunRequest/RunResult facade: equivalence with the deprecated
-// EngineCore().run() shims, JobStream edge cases driven through run() (empty
+// The RunRequest/RunResult facade: the policy-spec and explicit-policy
+// overloads agree bitwise, JobStream edge cases driven through run() (empty
 // stream, simultaneous arrivals, out-of-order rejection, cancellation
 // mid-stream), and the live-metrics hooks the daemon relies on.
 #include <gtest/gtest.h>
@@ -12,19 +12,18 @@
 #include "core/metrics.h"
 #include "policies/registry.h"
 #include "policies/round_robin.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 #include "workload/stream.h"
 
 namespace tempofair {
 namespace {
 
 Instance small_instance() {
-  workload::Rng rng(99);
-  return workload::poisson_load(30, 1, 0.9, workload::ExponentialSize{1.2},
-                                rng);
+  return workload::make_instance(workload::WorkloadSpec::poisson(
+      30, 0.9, workload::ExponentialSize{1.2}, 99));
 }
 
-TEST(RunFacade, MatchesSimulateShimBitwise) {
+TEST(RunFacade, PolicySpecMatchesExplicitPolicyBitwise) {
   const Instance inst = small_instance();
   RunRequest req;
   req.policy = "rr";
@@ -32,10 +31,13 @@ TEST(RunFacade, MatchesSimulateShimBitwise) {
   const RunResult result = run(inst, req);
 
   RoundRobin rr;
-  const Schedule legacy = EngineCore().run(inst, rr, req.engine_options());
-  ASSERT_EQ(result.schedule.n(), legacy.n());
+  const RunResult explicit_policy = EngineCore().run(inst, rr, req);
+  EXPECT_EQ(explicit_policy.policy, result.policy);
+  ASSERT_EQ(result.schedule.n(), explicit_policy.schedule.n());
   for (JobId j = 0; j < inst.n(); ++j) {
-    EXPECT_EQ(result.schedule.completion(j), legacy.completion(j)) << j;
+    EXPECT_EQ(result.schedule.completion(j),
+              explicit_policy.schedule.completion(j))
+        << j;
   }
 }
 
@@ -59,24 +61,11 @@ TEST(RunFacade, RejectsUnknownPolicySpec) {
   EXPECT_THROW((void)run(small_instance(), req), std::invalid_argument);
 }
 
-TEST(RunFacade, EngineOptionsCarryLiveHooks) {
-  LiveMetrics live;
-  std::atomic<bool> cancel{false};
-  RunRequest req;
-  req.live = &live;
-  req.cancel = &cancel;
-  const EngineOptions eo = req.engine_options();
-  EXPECT_EQ(eo.live_metrics, &live);
-  EXPECT_EQ(eo.cancel, &cancel);
-  EXPECT_EQ(eo.machines, req.machines);
-  EXPECT_EQ(eo.use_fast_path, req.use_fast_path);
-}
-
 // --- JobStream edge cases through the facade --------------------------------
 
 TEST(RunFacade, EmptyStreamProducesEmptySchedule) {
   const Instance empty;
-  workload::InstanceJobStream stream(empty);
+  workload::InstanceRefStream stream(empty);
   RunRequest req;
   req.policy = "rr";
   const RunResult result = run(stream, req);
@@ -97,7 +86,7 @@ TEST(RunFacade, SimultaneousArrivalsMatchInstanceRun) {
   req.policy = "rr";
   const RunResult offline = run(inst, req);
 
-  workload::InstanceJobStream stream(inst);
+  workload::InstanceRefStream stream(inst);
   const RunResult streamed = run(stream, req);
   ASSERT_EQ(streamed.schedule.n(), offline.schedule.n());
   for (JobId j = 0; j < inst.n(); ++j) {
@@ -134,7 +123,7 @@ TEST(RunFacade, RejectsNonSequentialIds) {
 
 TEST(RunFacade, StreamingRequiresFastPathCapablePolicy) {
   const Instance inst = small_instance();
-  workload::InstanceJobStream stream(inst);
+  workload::InstanceRefStream stream(inst);
   RunRequest req;
   // hdf's age-dependent weights keep it off the fast path (kNone); mlfq
   // and friends grew descriptors, so they stream fine now.
@@ -156,7 +145,7 @@ class CancellingStream final : public JobStream {
   }
 
  private:
-  workload::InstanceJobStream inner_;
+  workload::InstanceRefStream inner_;
   std::size_t trip_after_;
   std::atomic<bool>* cancel_;
   std::size_t yielded_ = 0;

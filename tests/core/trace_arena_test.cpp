@@ -17,7 +17,7 @@
 #include "core/engine.h"
 #include "core/fairness.h"
 #include "policies/round_robin.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair {
 namespace {
@@ -82,7 +82,7 @@ TEST(JobTraceView, InterleavedArrivalsUnderRr) {
   const Instance inst = Instance::from_pairs(
       std::vector<std::pair<Time, Work>>{{0.0, 2.0}, {1.0, 2.0}});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr, {}).schedule;
 
   const JobTraceView v0 = s.job_trace(0);
   ASSERT_EQ(v0.size(), 2u);
@@ -131,11 +131,11 @@ TEST(TraceArena, UniformAndPerJobRateStorage) {
 }
 
 TEST(TraceArena, EveryRrIntervalIsUniformCompressed) {
-  workload::Rng rng(23);
   const Instance inst =
-      workload::poisson_load(80, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          80, 0.9, workload::ExponentialSize{1.0}, 23));
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr, {}).schedule;
   for (const TraceIntervalView iv : s.trace()) {
     EXPECT_TRUE(iv.uniform_rate());
   }
@@ -146,13 +146,12 @@ TEST(TraceArena, EveryRrIntervalIsUniformCompressed) {
 class ArenaEquivalence : public ::testing::Test {
  protected:
   void SetUp() override {
-    workload::Rng rng(42);
-    inst_ = workload::poisson_load(300, 1, 0.9,
-                                   workload::ExponentialSize{1.5}, rng);
+    inst_ = workload::make_instance(workload::WorkloadSpec::poisson(
+        300, 0.9, workload::ExponentialSize{1.5}, 42));
     RoundRobin rr;
-    EngineOptions eo;
-    eo.record_trace = true;
-    sched_ = EngineCore().run(inst_, rr, eo);
+    RunRequest req;
+    req.record_trace = true;
+    sched_ = run(inst_, rr, req).schedule;
     aos_ = materialize(sched_->trace());
   }
 
@@ -386,15 +385,15 @@ TEST_F(ArenaEquivalence, DualFitCertificateMatchesFullScanReference) {
 // Same equivalence on a multi-machine, non-unit-speed run: exercises the
 // underloaded alpha branch and per-machine fair shares.
 TEST(ArenaEquivalenceMultiMachine, DualFitAndWorkMatchReference) {
-  workload::Rng rng(7);
   const Instance inst =
-      workload::poisson_load(200, 3, 1.1, workload::UniformSize{0.5, 2.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          200, 1.1, workload::UniformSize{0.5, 2.0}, 7, 3));
   RoundRobin rr;
-  EngineOptions eo;
-  eo.machines = 3;
-  eo.speed = 2.0;
-  eo.record_trace = true;
-  const Schedule s = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.machines = 3;
+  req.speed = 2.0;
+  req.record_trace = true;
+  const Schedule s = run(inst, rr, req).schedule;
   const std::vector<AosInterval> aos = materialize(s.trace());
 
   analysis::DualFitOptions opt;

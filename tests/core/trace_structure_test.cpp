@@ -5,7 +5,7 @@
 
 #include "core/engine.h"
 #include "policies/round_robin.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair {
 namespace {
@@ -16,7 +16,7 @@ TEST(TraceStructure, RrStaircaseHandComputed) {
   const Instance inst =
       Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 2.0}, {1.0, 2.0}});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr, {}).schedule;
   ASSERT_EQ(s.trace().size(), 3u);
 
   const TraceIntervalView a = s.trace()[0];
@@ -41,13 +41,13 @@ TEST(TraceStructure, RrStaircaseHandComputed) {
 }
 
 TEST(TraceStructure, IntervalsTileWithoutOverlap) {
-  workload::Rng rng(13);
   const Instance inst =
-      workload::poisson_load(60, 2, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          60, 0.9, workload::ExponentialSize{1.0}, 13, 2));
   RoundRobin rr;
-  EngineOptions eo;
-  eo.machines = 2;
-  const Schedule s = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.machines = 2;
+  const Schedule s = run(inst, rr, req).schedule;
   Time prev_end = -1.0;
   for (const TraceIntervalView iv : s.trace()) {
     EXPECT_LT(iv.begin(), iv.end());
@@ -58,11 +58,11 @@ TEST(TraceStructure, IntervalsTileWithoutOverlap) {
 }
 
 TEST(TraceStructure, AliveSetMatchesLifespans) {
-  workload::Rng rng(17);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::UniformSize{0.5, 2.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::UniformSize{0.5, 2.0}, 17));
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr, {}).schedule;
   for (const TraceIntervalView iv : s.trace()) {
     for (const RateShare share : iv.shares()) {
       EXPECT_GE(iv.begin(), s.release(share.job) - 1e-9);
@@ -84,11 +84,11 @@ TEST(TraceStructure, AliveSetMatchesLifespans) {
 TEST(TraceStructure, AttainedServiceReconstructsFlows) {
   // Integrating each job's rate over the trace up to any prefix never
   // exceeds its size, and the final integral equals the size exactly.
-  workload::Rng rng(19);
   const Instance inst =
-      workload::poisson_load(30, 1, 0.85, workload::ExponentialSize{2.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          30, 0.85, workload::ExponentialSize{2.0}, 19));
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr, {}).schedule;
   std::vector<double> attained(inst.n(), 0.0);
   for (const TraceIntervalView iv : s.trace()) {
     for (const RateShare share : iv.shares()) {

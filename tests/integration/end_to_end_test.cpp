@@ -12,7 +12,7 @@
 #include "policies/registry.h"
 #include "policies/round_robin.h"
 #include "workload/adversarial.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair {
 namespace {
@@ -21,10 +21,10 @@ namespace {
 // LP-bracketed ratio stays below a modest constant on random + adversarial
 // inputs.
 TEST(EndToEnd, Theorem1MiniL2) {
-  workload::Rng rng(2025);
   std::vector<Instance> instances;
   instances.push_back(
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.0}, rng));
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::ExponentialSize{1.0}, 2025)));
   instances.push_back(workload::rr_l2_hard(20));
   for (const Instance& inst : instances) {
     RoundRobin rr;
@@ -66,10 +66,11 @@ TEST(EndToEnd, LowerBoundGrowthShape) {
 TEST(EndToEnd, DualCertificateBatch) {
   const double k = 2.0, eps = 0.05;
   const double eta = analysis::theorem1_speed(k, eps);
-  workload::Rng rng(7);
   for (int trial = 0; trial < 8; ++trial) {
-    const Instance inst = workload::poisson_load(
-        40, 1, 0.95, workload::UniformSize{0.2, 3.0}, rng);
+    const Instance inst = workload::make_instance(
+        workload::WorkloadSpec::poisson(40, 0.95,
+                                        workload::UniformSize{0.2, 3.0},
+                                        7 + trial));
     RoundRobin rr;
     RunRequest req;
     req.speed = eta;
@@ -104,10 +105,12 @@ TEST(EndToEnd, FairnessLatencyTradeoff) {
 TEST(EndToEnd, MultiMachineCertificates) {
   const double k = 2.0, eps = 0.05;
   const double eta = analysis::theorem1_speed(k, eps);
-  workload::Rng rng(11);
+  std::uint64_t draw = 0;
   for (int m : {1, 2, 4, 8}) {
-    const Instance inst = workload::poisson_load(
-        50, m, 0.95, workload::ExponentialSize{1.0}, rng);
+    const Instance inst = workload::make_instance(
+        workload::WorkloadSpec::poisson(50, 0.95,
+                                        workload::ExponentialSize{1.0},
+                                        11 + draw++, m));
     RoundRobin rr;
     RunRequest req;
     req.speed = eta;
@@ -123,9 +126,9 @@ TEST(EndToEnd, MultiMachineCertificates) {
 
 // T6 in miniature: quantum RR converges to ideal RR.
 TEST(EndToEnd, QuantumConvergence) {
-  workload::Rng rng(13);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.85, workload::UniformSize{0.5, 2.0}, 13));
   RoundRobin ideal;
   RunRequest req;
   req.record_trace = false;
@@ -138,9 +141,9 @@ TEST(EndToEnd, QuantumConvergence) {
 // The l1 result the paper cites: RR is O(1)-speed O(1)-competitive for
 // total flow as well -- same schedule, both norms bounded.
 TEST(EndToEnd, SimultaneousL1AndL2Guarantees) {
-  workload::Rng rng(17);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.95, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.95, workload::ExponentialSize{1.0}, 17));
   RoundRobin rr;
   analysis::RatioOptions l1;
   l1.k = 1.0;

@@ -9,6 +9,7 @@
 #include "core/metrics.h"
 #include "policies/priority_policies.h"
 #include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair::lpsolve {
 namespace {
@@ -36,27 +37,29 @@ TEST(FlowtimeLp, SingleJobSizeTwoUsesTwoSlots) {
 
 TEST(FlowtimeLp, LowerBoundsActualSchedules) {
   // LP/2 <= OPT^k <= any policy's cost, so LP/2 <= SRPT's cost.
-  workload::Rng rng(71);
+  std::uint64_t draw = 0;
   for (double k : {1.0, 2.0, 3.0}) {
-    const Instance inst =
-        workload::poisson_load(30, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+    const Instance inst = workload::make_instance(
+        workload::WorkloadSpec::poisson(30, 0.85,
+                                        workload::UniformSize{0.5, 2.0},
+                                        71 + draw++));
     FlowtimeLpOptions opt;
     opt.k = k;
     opt.slot = 0.5;
     const auto r = solve_flowtime_lp(inst, opt);
     Srpt srpt;
-    EngineOptions eo;
-    eo.record_trace = false;
-    const double srpt_cost = flow_lk_power(EngineCore().run(inst, srpt, eo), k);
+    RunRequest req;
+    req.record_trace = false;
+    const double srpt_cost = flow_lk_power(run(inst, srpt, req).schedule, k);
     EXPECT_LE(r.opt_power_lb, srpt_cost * (1.0 + 1e-9)) << "k=" << k;
     EXPECT_GT(r.opt_power_lb, 0.0);
   }
 }
 
 TEST(FlowtimeLp, FinerSlotsGiveTighterBound) {
-  workload::Rng rng(73);
   const Instance inst =
-      workload::poisson_load(20, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          20, 0.8, workload::UniformSize{0.5, 2.0}, 73));
   double prev = 0.0;
   for (double slot : {2.0, 1.0, 0.5, 0.25}) {
     FlowtimeLpOptions opt;
@@ -102,10 +105,12 @@ TEST(FlowtimeLp, McmfMatchesSimplexOnTinyInstances) {
 }
 
 TEST(FlowtimeLp, CertificateBoundsValueFromBelow) {
-  workload::Rng rng(107);
+  std::uint64_t draw = 0;
   for (double k : {1.0, 2.0, 3.0}) {
-    const Instance inst =
-        workload::poisson_load(25, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+    const Instance inst = workload::make_instance(
+        workload::WorkloadSpec::poisson(25, 0.85,
+                                        workload::UniformSize{0.5, 2.0},
+                                        107 + draw++));
     FlowtimeLpOptions opt;
     opt.k = k;
     opt.slot = 0.5;

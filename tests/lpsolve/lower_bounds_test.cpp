@@ -8,7 +8,7 @@
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "policies/round_robin.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair::lpsolve {
 namespace {
@@ -25,10 +25,11 @@ TEST(OptBounds, TrivialBoundIsSumOfSizePowers) {
 }
 
 TEST(OptBounds, BracketOrderingHolds) {
-  workload::Rng rng(89);
+  std::uint64_t draw = 0;
   for (double k : {1.0, 2.0, 3.0}) {
-    const Instance inst =
-        workload::poisson_load(35, 1, 0.9, workload::ExponentialSize{1.5}, rng);
+    const Instance inst = workload::make_instance(
+        workload::WorkloadSpec::poisson(35, 0.9, workload::ExponentialSize{1.5},
+                                        89 + draw++));
     OptBoundsOptions opt;
     opt.k = k;
     const OptBounds b = opt_bounds(inst, opt);
@@ -43,24 +44,24 @@ TEST(OptBounds, ProxyBoundsAnyPolicyFromBelow) {
   // proxy = min(SRPT, SJF) >= OPT, so every policy's cost >= ... is NOT
   // implied; instead: proxy <= RR's cost must hold only when SRPT beats RR,
   // which it does for l1 on one machine.
-  workload::Rng rng(97);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.5}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::ExponentialSize{1.5}, 97));
   OptBoundsOptions opt;
   opt.k = 1.0;
   opt.with_lp = false;
   const OptBounds b = opt_bounds(inst, opt);
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const double rr_cost = flow_lk_power(EngineCore().run(inst, rr, eo), 1.0);
+  RunRequest req;
+  req.record_trace = false;
+  const double rr_cost = flow_lk_power(run(inst, rr, req).schedule, 1.0);
   EXPECT_LE(b.proxy_ub, rr_cost * (1.0 + 1e-9));
 }
 
 TEST(OptBounds, MultiMachineBracket) {
-  workload::Rng rng(101);
   const Instance inst =
-      workload::poisson_load(40, 4, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::ExponentialSize{1.0}, 101, 4));
   OptBoundsOptions opt;
   opt.k = 2.0;
   opt.machines = 4;
@@ -70,9 +71,9 @@ TEST(OptBounds, MultiMachineBracket) {
 
 TEST(OptBounds, AutoSlotKeepsGridBounded) {
   // A long-horizon instance must be solvable via the auto-coarsened grid.
-  workload::Rng rng(103);
   const Instance inst =
-      workload::poisson_load(80, 1, 0.5, workload::ExponentialSize{10.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          80, 0.5, workload::ExponentialSize{10.0}, 103));
   OptBoundsOptions opt;
   opt.k = 2.0;
   const OptBounds b = opt_bounds(inst, opt);
@@ -96,10 +97,12 @@ TEST(OptBounds, DenormalJobSizeDoesNotPoisonBounds) {
 }
 
 TEST(OptBounds, CertifiedLbBacksBestLb) {
-  workload::Rng rng(109);
+  std::uint64_t draw = 0;
   for (double k : {1.0, 2.0, 3.0}) {
-    const Instance inst =
-        workload::poisson_load(30, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+    const Instance inst = workload::make_instance(
+        workload::WorkloadSpec::poisson(30, 0.85,
+                                        workload::UniformSize{0.5, 2.0},
+                                        109 + draw++));
     OptBoundsOptions opt;
     opt.k = k;
     const OptBounds b = opt_bounds(inst, opt);
@@ -114,9 +117,9 @@ TEST(OptBounds, CertifiedLbBacksBestLb) {
 TEST(OptBounds, NonIntegerKFallsBackToLpCertificate) {
   // The trivial bound only certifies integer k; for k=1.5 the LP dual
   // certificate must carry the certification on its own.
-  workload::Rng rng(113);
   const Instance inst =
-      workload::poisson_load(25, 1, 0.85, workload::UniformSize{0.5, 2.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          25, 0.85, workload::UniformSize{0.5, 2.0}, 113));
   OptBoundsOptions opt;
   opt.k = 1.5;
   const OptBounds b = opt_bounds(inst, opt);

@@ -84,10 +84,14 @@ TEST(CpuAccount, AttributesSelfCpuOnce) {
   {
     CpuAccount outer(outer_sink, "cpu_ns");
     volatile std::uint64_t spin = 0;
-    for (int i = 0; i < 100000; ++i) spin += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 100000; ++i) {
+      spin = spin + static_cast<std::uint64_t>(i);
+    }
     {
       CpuAccount inner(inner_sink, "cpu_ns");
-      for (int i = 0; i < 100000; ++i) spin += static_cast<std::uint64_t>(i);
+      for (int i = 0; i < 100000; ++i) {
+        spin = spin + static_cast<std::uint64_t>(i);
+      }
     }
   }
   // Both scopes recorded something, and the outer scope excluded the nested
@@ -168,7 +172,7 @@ TEST(EngineCounters, RecordedPerRun) {
     const std::vector<std::pair<Time, Work>> jobs{{0.0, 1.0}, {0.5, 2.0}};
     const Instance inst = Instance::from_pairs(jobs);
     RoundRobin rr;
-    (void)EngineCore().run(inst, rr);
+    (void)run(inst, rr, {});
   }
   EXPECT_EQ(sink.value("engine.runs"), 1u);
   EXPECT_EQ(sink.value("engine.jobs"), 2u);

@@ -5,7 +5,7 @@
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "policies/round_robin.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair {
 namespace {
@@ -39,7 +39,7 @@ TEST(Mlfq, NewArrivalPreemptsDemotedJob) {
   const Instance inst =
       Instance::from_pairs(std::vector<std::pair<Time, Work>>{{0.0, 10.0}, {2.0, 0.5}});
   Mlfq mlfq(1.0, 2.0);
-  const Schedule s = EngineCore().run(inst, mlfq);
+  const Schedule s = run(inst, mlfq, {}).schedule;
   EXPECT_DOUBLE_EQ(s.completion(1), 2.5);
   EXPECT_DOUBLE_EQ(s.completion(0), 10.5);
 }
@@ -47,15 +47,15 @@ TEST(Mlfq, NewArrivalPreemptsDemotedJob) {
 TEST(Mlfq, IsNonClairvoyantAndDeterministic) {
   Mlfq policy(1.0, 2.0);
   EXPECT_FALSE(policy.clairvoyant());
-  workload::Rng rng(53);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{2.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::ExponentialSize{2.0}, 53));
   Mlfq a(1.0, 2.0), b(1.0, 2.0);
-  EngineOptions open;
-  EngineOptions hidden;
+  RunRequest open;
+  RunRequest hidden;
   hidden.hide_sizes = true;
-  const Schedule sa = EngineCore().run(inst, a, open);
-  const Schedule sb = EngineCore().run(inst, b, hidden);
+  const Schedule sa = run(inst, a, open).schedule;
+  const Schedule sb = run(inst, b, hidden).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(sa.completion(j), sb.completion(j), 1e-9);
   }
@@ -70,20 +70,20 @@ TEST(Mlfq, BeatsRoundRobinOnBigJobPlusStreamL1) {
   const Instance inst = Instance::from_pairs(pairs);
   Mlfq mlfq(1.0, 2.0);
   RoundRobin rr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  EXPECT_LT(flow_lk_norm(EngineCore().run(inst, mlfq, eo), 1.0),
-            flow_lk_norm(EngineCore().run(inst, rr, eo), 1.0));
+  RunRequest req;
+  req.record_trace = false;
+  EXPECT_LT(flow_lk_norm(run(inst, mlfq, req).schedule, 1.0),
+            flow_lk_norm(run(inst, rr, req).schedule, 1.0));
 }
 
 TEST(Mlfq, CompletesOnMultipleMachines) {
-  workload::Rng rng(61);
   const Instance inst =
-      workload::poisson_load(50, 4, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          50, 0.9, workload::ExponentialSize{1.0}, 61, 4));
   Mlfq mlfq(0.5, 2.0);
-  EngineOptions eo;
-  eo.machines = 4;
-  const Schedule s = EngineCore().run(inst, mlfq, eo);
+  RunRequest req;
+  req.machines = 4;
+  const Schedule s = run(inst, mlfq, req).schedule;
   s.validate();
 }
 

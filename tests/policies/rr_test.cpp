@@ -4,7 +4,7 @@
 
 #include "core/engine.h"
 #include "core/metrics.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair {
 namespace {
@@ -57,7 +57,7 @@ TEST(RoundRobin, EqualBatchFinishesTogether) {
   for (std::size_t n : {2u, 5u, 17u}) {
     std::vector<Work> sizes(n, 2.0);
     RoundRobin rr;
-    const Schedule s = EngineCore().run(Instance::batch(sizes), rr);
+    const Schedule s = run(Instance::batch(sizes), rr, {}).schedule;
     for (JobId j = 0; j < n; ++j) {
       EXPECT_NEAR(s.completion(j), 2.0 * static_cast<double>(n), 1e-7);
     }
@@ -67,22 +67,22 @@ TEST(RoundRobin, EqualBatchFinishesTogether) {
 TEST(RoundRobin, SmallerJobFinishesFirstInSharedRun) {
   const Instance inst = Instance::batch(std::vector<Work>{1.0, 3.0});
   RoundRobin rr;
-  const Schedule s = EngineCore().run(inst, rr);
+  const Schedule s = run(inst, rr, {}).schedule;
   // Shared until job 0 done at t=2 (each got 1); job 1 has 2 left -> C=4.
   EXPECT_DOUBLE_EQ(s.completion(0), 2.0);
   EXPECT_DOUBLE_EQ(s.completion(1), 4.0);
 }
 
 TEST(RoundRobin, WorksNonClairvoyantly) {
-  workload::Rng rng(3);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.8, workload::UniformSize{0.5, 2.0}, 3));
   RoundRobin rr_open, rr_blind;
-  EngineOptions open;
-  EngineOptions blind;
+  RunRequest open;
+  RunRequest blind;
   blind.hide_sizes = true;
-  const Schedule a = EngineCore().run(inst, rr_open, open);
-  const Schedule b = EngineCore().run(inst, rr_blind, blind);
+  const Schedule a = run(inst, rr_open, open).schedule;
+  const Schedule b = run(inst, rr_blind, blind).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_DOUBLE_EQ(a.completion(j), b.completion(j));
   }
@@ -90,14 +90,14 @@ TEST(RoundRobin, WorksNonClairvoyantly) {
 
 TEST(RoundRobin, MatchesPaperRateFormula) {
   // m_j(t) = speed * min(1, m / n_t) in every trace interval.
-  workload::Rng rng(11);
   const Instance inst =
-      workload::poisson_load(30, 3, 1.1, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          30, 1.1, workload::ExponentialSize{1.0}, 11, 3));
   RoundRobin rr;
-  EngineOptions eo;
-  eo.machines = 3;
-  eo.speed = 2.0;
-  const Schedule s = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.machines = 3;
+  req.speed = 2.0;
+  const Schedule s = run(inst, rr, req).schedule;
   for (const TraceIntervalView iv : s.trace()) {
     const double expect =
         2.0 * std::min(1.0, 3.0 / static_cast<double>(iv.alive_count()));
@@ -108,32 +108,32 @@ TEST(RoundRobin, MatchesPaperRateFormula) {
 }
 
 TEST(RoundRobin, FlowTimesWeaklyDecreaseWithSpeed) {
-  workload::Rng rng(5);
   const Instance inst =
-      workload::poisson_load(60, 1, 0.9, workload::ExponentialSize{1.5}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          60, 0.9, workload::ExponentialSize{1.5}, 5));
   double prev = std::numeric_limits<double>::infinity();
   for (double speed : {1.0, 1.5, 2.0, 3.0, 4.0}) {
     RoundRobin rr;
-    EngineOptions eo;
-    eo.speed = speed;
-    eo.record_trace = false;
-    const double l2 = flow_lk_norm(EngineCore().run(inst, rr, eo), 2.0);
+    RunRequest req;
+    req.speed = speed;
+    req.record_trace = false;
+    const double l2 = flow_lk_norm(run(inst, rr, req).schedule, 2.0);
     EXPECT_LE(l2, prev + 1e-9);
     prev = l2;
   }
 }
 
 TEST(RoundRobin, MoreMachinesNeverHurt) {
-  workload::Rng rng(6);
   const Instance inst =
-      workload::poisson_load(60, 1, 1.2, workload::ExponentialSize{1.5}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          60, 1.2, workload::ExponentialSize{1.5}, 6));
   double prev = std::numeric_limits<double>::infinity();
   for (int m : {1, 2, 4, 8}) {
     RoundRobin rr;
-    EngineOptions eo;
-    eo.machines = m;
-    eo.record_trace = false;
-    const double l2 = flow_lk_norm(EngineCore().run(inst, rr, eo), 2.0);
+    RunRequest req;
+    req.machines = m;
+    req.record_trace = false;
+    const double l2 = flow_lk_norm(run(inst, rr, req).schedule, 2.0);
     EXPECT_LE(l2, prev + 1e-9);
     prev = l2;
   }

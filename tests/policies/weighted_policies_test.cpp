@@ -7,6 +7,7 @@
 #include "policies/priority_policies.h"
 #include "policies/round_robin.h"
 #include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair {
 namespace {
@@ -25,7 +26,7 @@ TEST(Hdf, RunsHighestDensityFirst) {
   const Instance inst =
       weighted_batch({{4.0, 1.0}, {3.0, 3.0}, {2.0, 1.0}});
   Hdf hdf;
-  const Schedule s = EngineCore().run(inst, hdf);
+  const Schedule s = run(inst, hdf, {}).schedule;
   EXPECT_DOUBLE_EQ(s.completion(1), 3.0);
   EXPECT_DOUBLE_EQ(s.completion(2), 5.0);
   EXPECT_DOUBLE_EQ(s.completion(0), 9.0);
@@ -33,35 +34,39 @@ TEST(Hdf, RunsHighestDensityFirst) {
 
 TEST(Hdf, EqualWeightsReduceToSjf) {
   // With unit weights density = 1/p: highest density = smallest size = SJF.
-  workload::Rng rng(5);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::UniformSize{0.5, 2.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::UniformSize{0.5, 2.0}, 5));
   Hdf hdf;
   Sjf sjf;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const Schedule a = EngineCore().run(inst, hdf, eo);
-  const Schedule b = EngineCore().run(inst, sjf, eo);
+  RunRequest req;
+  req.record_trace = false;
+  const Schedule a = run(inst, hdf, req).schedule;
+  const Schedule b = run(inst, sjf, req).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(a.completion(j), b.completion(j), 1e-9);
   }
 }
 
 TEST(Hdf, MinimizesWeightedL1AmongTestedPolicies) {
-  workload::Rng rng(7);
-  Instance inst =
-      workload::poisson_load(50, 1, 0.9, workload::ExponentialSize{1.5}, rng);
-  inst = workload::with_weights(inst, workload::WeightScheme::kRandom, rng);
-  EngineOptions eo;
-  eo.record_trace = false;
+  const Instance inst = workload::make_instance(
+      workload::WorkloadSpec::poisson(50, 0.9, workload::ExponentialSize{1.5},
+                                      7)
+          .set("weights", "random"));
+  RunRequest req;
+  req.record_trace = false;
   Hdf hdf;
   Hrdf hrdf;
   RoundRobin rr;
   WeightProportionalRoundRobin wprr;
-  const double hdf_cost = weighted_flow_lk_power(EngineCore().run(inst, hdf, eo), 1.0);
-  const double hrdf_cost = weighted_flow_lk_power(EngineCore().run(inst, hrdf, eo), 1.0);
-  const double rr_cost = weighted_flow_lk_power(EngineCore().run(inst, rr, eo), 1.0);
-  const double wprr_cost = weighted_flow_lk_power(EngineCore().run(inst, wprr, eo), 1.0);
+  const double hdf_cost =
+      weighted_flow_lk_power(run(inst, hdf, req).schedule, 1.0);
+  const double hrdf_cost =
+      weighted_flow_lk_power(run(inst, hrdf, req).schedule, 1.0);
+  const double rr_cost =
+      weighted_flow_lk_power(run(inst, rr, req).schedule, 1.0);
+  const double wprr_cost =
+      weighted_flow_lk_power(run(inst, wprr, req).schedule, 1.0);
   const double best = std::min(hdf_cost, hrdf_cost);
   EXPECT_LE(best, rr_cost * (1.0 + 1e-9));
   EXPECT_LE(best, wprr_cost * (1.0 + 1e-9));
@@ -74,10 +79,10 @@ TEST(Hrdf, PreemptsByResidualDensity) {
   std::vector<Job> jobs{Job{0, 0.0, 4.0, 1.0}, Job{1, 3.0, 2.0, 1.5}};
   const Instance inst = Instance::from_jobs(std::move(jobs));
   Hrdf hrdf;
-  const Schedule s = EngineCore().run(inst, hrdf);
+  const Schedule s = run(inst, hrdf, {}).schedule;
   EXPECT_DOUBLE_EQ(s.completion(0), 4.0);
   Hdf hdf;
-  const Schedule h = EngineCore().run(inst, hdf);
+  const Schedule h = run(inst, hdf, {}).schedule;
   EXPECT_DOUBLE_EQ(h.completion(1), 5.0);  // HDF runs job 1 first at t=3
   EXPECT_DOUBLE_EQ(h.completion(0), 6.0);
 }
@@ -94,16 +99,16 @@ TEST(Wprr, SharesProportionallyToWeights) {
 }
 
 TEST(Wprr, UnitWeightsEqualRoundRobin) {
-  workload::Rng rng(11);
   const Instance inst =
-      workload::poisson_load(40, 2, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::ExponentialSize{1.0}, 11, 2));
   WeightProportionalRoundRobin wprr;
   RoundRobin rr;
-  EngineOptions eo;
-  eo.machines = 2;
-  eo.record_trace = false;
-  const Schedule a = EngineCore().run(inst, wprr, eo);
-  const Schedule b = EngineCore().run(inst, rr, eo);
+  RunRequest req;
+  req.machines = 2;
+  req.record_trace = false;
+  const Schedule a = run(inst, wprr, req).schedule;
+  const Schedule b = run(inst, rr, req).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(a.completion(j), b.completion(j), 1e-7);
   }
@@ -124,15 +129,15 @@ TEST(Wprr, RespectsPerJobCap) {
 TEST(Wprr, IsNonClairvoyant) {
   WeightProportionalRoundRobin wprr;
   EXPECT_FALSE(wprr.clairvoyant());
-  workload::Rng rng(13);
-  Instance inst =
-      workload::poisson_load(30, 1, 0.8, workload::UniformSize{0.5, 2.0}, rng);
-  inst = workload::with_weights(inst, workload::WeightScheme::kRandom, rng);
+  const Instance inst = workload::make_instance(
+      workload::WorkloadSpec::poisson(30, 0.8, workload::UniformSize{0.5, 2.0},
+                                      13)
+          .set("weights", "random"));
   WeightProportionalRoundRobin open, blind;
-  EngineOptions hidden;
+  RunRequest hidden;
   hidden.hide_sizes = true;
-  const Schedule a = EngineCore().run(inst, open);
-  const Schedule b = EngineCore().run(inst, blind, hidden);
+  const Schedule a = run(inst, open, {}).schedule;
+  const Schedule b = run(inst, blind, hidden).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(a.completion(j), b.completion(j), 1e-7);
   }

@@ -5,6 +5,7 @@
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair {
 namespace {
@@ -95,11 +96,11 @@ TEST(WeightedRoundRobin, OlderJobGetsLargerShare) {
 }
 
 TEST(WeightedRoundRobin, CompletesEverythingAndConservesWork) {
-  workload::Rng rng(13);
   const Instance inst =
-      workload::poisson_load(40, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::ExponentialSize{1.0}, 13));
   WeightedRoundRobin wrr;
-  const Schedule s = EngineCore().run(inst, wrr);
+  const Schedule s = run(inst, wrr, {}).schedule;
   s.validate();
 }
 
@@ -117,13 +118,13 @@ TEST(WeightedRoundRobin, HelpsL2OverRrOnStarvedBigJob) {
   // the l2 norm versus plain RR on the SRPT-starvation family is NOT
   // expected (RR already serves it); instead check WRR completes and is
   // within a small factor of RR on a random instance.
-  workload::Rng rng(19);
   const Instance inst =
-      workload::poisson_load(50, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          50, 0.9, workload::ExponentialSize{1.0}, 19));
   WeightedRoundRobin wrr;
-  EngineOptions eo;
-  eo.record_trace = false;
-  const double wrr_l2 = flow_lk_norm(EngineCore().run(inst, wrr, eo), 2.0);
+  RunRequest req;
+  req.record_trace = false;
+  const double wrr_l2 = flow_lk_norm(run(inst, wrr, req).schedule, 2.0);
   EXPECT_GT(wrr_l2, 0.0);
   EXPECT_TRUE(std::isfinite(wrr_l2));
 }

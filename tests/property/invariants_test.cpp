@@ -24,7 +24,7 @@
 #include "netsim/schedulers.h"
 #include "policies/registry.h"
 #include "workload/adversarial.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair {
 namespace {
@@ -47,17 +47,18 @@ std::string case_name(const SweepCase& c) {
 }
 
 Instance make_workload(const SweepCase& c) {
-  workload::Rng rng(c.seed);
+  using workload::WorkloadSpec;
   if (c.workload == "poisson") {
-    return workload::poisson_load(50, c.machines, 0.9,
-                                  workload::ExponentialSize{1.5}, rng);
+    return workload::make_instance(WorkloadSpec::poisson(
+        50, 0.9, workload::ExponentialSize{1.5}, c.seed, c.machines));
   }
   if (c.workload == "bimodal") {
-    return workload::poisson_load(50, c.machines, 0.85,
-                                  workload::BimodalSize{0.9, 1.0, 25.0}, rng);
+    return workload::make_instance(WorkloadSpec::poisson(
+        50, 0.85, workload::BimodalSize{0.9, 1.0, 25.0}, c.seed, c.machines));
   }
   if (c.workload == "burst") {
-    return workload::bursty_stream(5, 12, 8.0, workload::UniformSize{0.5, 1.5}, rng);
+    return workload::make_instance(WorkloadSpec::bursty(
+        5, 12, 8.0, workload::UniformSize{0.5, 1.5}, c.seed));
   }
   return workload::rr_l2_hard(15);
 }
@@ -322,9 +323,9 @@ TEST(InvariantNegative, UnequalSharesTripTemporalFairness) {
 TEST(InvariantNegative, CleanRrRunPassesEverything) {
   // Positive control: a real engine run with the full RR trait set (work
   // conserving, shares all alive, equal share) survives the whole battery.
-  workload::Rng rng(7);
   const Instance inst =
-      workload::poisson_load(60, 2, 0.9, workload::ExponentialSize{1.2}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          60, 0.9, workload::ExponentialSize{1.2}, 7, 2));
   RunRequest request;
   request.policy = "rr";
   request.machines = 2;
@@ -382,9 +383,9 @@ TEST(InvariantStatsApi, RegistryListsBuiltinBattery) {
 }
 
 TEST(InvariantStatsApi, SampledModeChecksEveryNthEpoch) {
-  workload::Rng rng(11);
   const Instance inst =
-      workload::poisson_load(200, 1, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          200, 0.9, workload::ExponentialSize{1.0}, 11));
   RunRequest request;
   request.policy = "rr";
   request.invariants = InvariantMode::kSampled;

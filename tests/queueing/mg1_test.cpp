@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "policies/registry.h"
+#include "workload/source.h"
 
 namespace tempofair::queueing {
 namespace {
@@ -133,6 +135,13 @@ struct OracleCase {
   double tolerance;  // relative
 };
 
+// Print the case by value: gtest's default byte dump would put the string
+// and function-pointer addresses into the test id, which then changes with
+// every build and process.
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << c.policy << " tolerance=" << c.tolerance;
+}
+
 double ps_oracle(const Mg1& q) { return q.mean_response_ps(); }
 double fcfs_oracle(const Mg1& q) { return q.mean_response_fcfs(); }
 double srpt_oracle(const Mg1& q) { return q.mean_response_srpt(); }
@@ -153,12 +162,13 @@ TEST_P(SimulatorVsTheory, MeanFlowMatchesMg1) {
   const int runs = 3;
   const std::size_t n = 6000, warmup = 500;
   for (int r = 0; r < runs; ++r) {
-    workload::Rng rng(1000 + r);
-    const Instance inst = workload::poisson_load(n, 1, load, dist, rng);
+    const Instance inst =
+        workload::make_instance(workload::WorkloadSpec::poisson(
+            n, load, dist, 1000 + r));
     auto policy = make_policy(policy_name);
-    EngineOptions eo;
-    eo.record_trace = false;
-    const Schedule s = EngineCore().run(inst, *policy, eo);
+    RunRequest req;
+    req.record_trace = false;
+    const Schedule s = run(inst, *policy, req).schedule;
     double sum = 0.0;
     for (JobId j = static_cast<JobId>(warmup); j < n - warmup; ++j) {
       sum += s.flow(j);

@@ -5,7 +5,7 @@
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "policies/round_robin.h"
-#include "workload/generators.h"
+#include "workload/source.h"
 
 namespace tempofair::relsim {
 namespace {
@@ -45,19 +45,19 @@ TEST(RelatedRoundRobin, OverloadedUsesAllCapacity) {
 }
 
 TEST(RelatedRoundRobin, IdenticalSpeedsMatchCoreRr) {
-  workload::Rng rng(3);
   const Instance inst =
-      workload::poisson_load(40, 3, 0.9, workload::ExponentialSize{1.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          40, 0.9, workload::ExponentialSize{1.0}, 3, 3));
   RelatedRoundRobin rel;
   RelSimOptions ro;
   ro.speeds = {1.0, 1.0, 1.0};
   const RelSchedule a = simulate_related(inst, rel, ro);
 
   RoundRobin core;
-  EngineOptions eo;
-  eo.machines = 3;
-  eo.record_trace = false;
-  const Schedule b = EngineCore().run(inst, core, eo);
+  RunRequest req;
+  req.machines = 3;
+  req.record_trace = false;
+  const Schedule b = run(inst, core, req).schedule;
   for (JobId j = 0; j < inst.n(); ++j) {
     EXPECT_NEAR(a.completion[j], b.completion(j), 1e-7) << "job " << j;
   }
@@ -115,9 +115,9 @@ TEST(SimulateRelated, RejectsBadOptions) {
 }
 
 TEST(SimulateRelated, SrptBeatsRrOnTotalFlowHeterogeneous) {
-  workload::Rng rng(7);
   const Instance inst =
-      workload::poisson_load(50, 3, 0.9, workload::ExponentialSize{1.5}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          50, 0.9, workload::ExponentialSize{1.5}, 7, 3));
   RelatedSrpt srpt;
   RelatedRoundRobin rr;
   RelSimOptions ro;
@@ -128,9 +128,9 @@ TEST(SimulateRelated, SrptBeatsRrOnTotalFlowHeterogeneous) {
 }
 
 TEST(SimulateRelated, EveryJobCompletes) {
-  workload::Rng rng(11);
   const Instance inst =
-      workload::poisson_load(60, 2, 1.1, workload::ParetoSize{1.8, 0.5, 30.0}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          60, 1.1, workload::ParetoSize{1.8, 0.5, 30.0}, 11, 2));
   for (auto make : {+[]() -> std::unique_ptr<RelPolicy> {
                       return std::make_unique<RelatedRoundRobin>();
                     },

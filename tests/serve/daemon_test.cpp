@@ -95,9 +95,10 @@ TEST_F(DaemonTest, EightTenantsStreamingByteIdenticalToOffline) {
   for (int t = 0; t < kTenants; ++t) {
     tenants.emplace_back([this, t, &failures] {
       try {
-        workload::Rng rng(1000 + static_cast<std::uint64_t>(t));
-        const Instance inst = workload::poisson_load(
-            200, 1, 0.9, workload::ExponentialSize{1.0 + 0.1 * t}, rng);
+        const Instance inst =
+            workload::make_instance(workload::WorkloadSpec::poisson(
+                200, 0.9, workload::ExponentialSize{1.0 + 0.1 * t},
+                1000 + static_cast<std::uint64_t>(t)));
         RunRequest req;
         req.policy = t % 2 == 0 ? "rr" : "srpt";
         req.record_trace = false;
@@ -268,6 +269,30 @@ TEST_F(DaemonTest, ActiveRunCapThrottlesNewRuns) {
   // Slot free again: accepted.
   const std::uint64_t run_b = client.submit_jobs(req, make_jobs(3, 0.1));
   EXPECT_EQ(client.wait(run_b).completions.size(), 3u);
+}
+
+// Regression: the worker releases the tenant's active-run slot before it
+// publishes the terminal phase, so a client that submits the moment wait()
+// returns is never THROTTLED by its own finished run.
+TEST_F(DaemonTest, SlotFreeAsSoonAsWaitReturns) {
+  DaemonConfig config;
+  config.workers = 1;
+  config.max_active_runs = 1;
+  start(std::move(config));
+
+  Client client = Client::connect_tcp(port_, "back-to-back");
+  RunRequest req;
+  req.policy = "rr";
+  req.record_trace = false;
+  for (int round = 0; round < 300; ++round) {
+    std::uint64_t run_id = 0;
+    try {
+      run_id = client.submit_jobs(req, make_jobs(2, 0.1));
+    } catch (const ServerError& e) {
+      FAIL() << "round " << round << ": " << e.what();
+    }
+    ASSERT_EQ(client.wait(run_id).completions.size(), 2u) << "round " << round;
+  }
 }
 
 // Cancelling a streaming run mid-flight aborts the engine promptly and the
@@ -479,9 +504,9 @@ TEST_F(DaemonTest, UnixSocketRoundTrip) {
   daemon_ = std::make_unique<Daemon>(std::move(config));
   daemon_->start();
 
-  workload::Rng rng(5);
   const Instance inst =
-      workload::poisson_load(100, 1, 0.9, workload::ExponentialSize{1.5}, rng);
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          100, 0.9, workload::ExponentialSize{1.5}, 5));
   RunRequest req;
   req.policy = "rr";
   req.record_trace = false;

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "workload/source.h"
+
 namespace tempofair::workload {
 namespace {
 
@@ -67,54 +69,60 @@ TEST(SizeDist, NamesAreDescriptive) {
   EXPECT_NE(dist_name(SizeDist{BimodalSize{}}).find("bimodal"), std::string::npos);
 }
 
+// --- spec-built generator workloads ----------------------------------------
+
 TEST(PoissonStream, ProducesRequestedCount) {
-  Rng rng(6);
-  const Instance inst = poisson_stream(75, 1.0, FixedSize{1.0}, rng);
+  const Instance inst =
+      make_instance(WorkloadSpec::poisson(75, 0.9, FixedSize{1.0}, 6));
   EXPECT_EQ(inst.n(), 75u);
 }
 
 TEST(PoissonStream, ReleasesAreNonDecreasingInId) {
-  Rng rng(7);
-  const Instance inst = poisson_stream(50, 2.0, FixedSize{1.0}, rng);
+  const Instance inst =
+      make_instance(WorkloadSpec::poisson(50, 0.9, FixedSize{1.0}, 7));
   for (JobId j = 1; j < inst.n(); ++j) {
     EXPECT_GE(inst.job(j).release, inst.job(j - 1).release);
   }
 }
 
 TEST(PoissonStream, InterarrivalMeanMatchesLambda) {
-  Rng rng(8);
-  const Instance inst = poisson_stream(20000, 4.0, FixedSize{1.0}, rng);
+  // Unit sizes on one machine: lambda = load, so the mean gap is 1/load.
+  const Instance inst =
+      make_instance(WorkloadSpec::poisson(20000, 0.8, FixedSize{1.0}, 8));
   const double mean_gap = inst.max_release() / static_cast<double>(inst.n());
-  EXPECT_NEAR(mean_gap, 0.25, 0.02);
+  EXPECT_NEAR(mean_gap, 1.25, 0.05);
 }
 
 TEST(PoissonStream, RejectsBadLambda) {
-  Rng rng(9);
-  EXPECT_THROW((void)poisson_stream(10, 0.0, FixedSize{1.0}, rng),
-               std::invalid_argument);
+  // A zero load means a zero arrival rate.
+  EXPECT_THROW(
+      (void)make_instance(WorkloadSpec::poisson(10, 0.0, FixedSize{1.0}, 9)),
+      std::invalid_argument);
 }
 
 TEST(PoissonLoad, UtilizationCalibration) {
   // lambda * E[size] / m == utilization: check empirically via arrival rate.
-  Rng rng(10);
-  const Instance inst = poisson_load(20000, 2, 0.8, ExponentialSize{2.0}, rng);
+  const Instance inst = make_instance(
+      WorkloadSpec::poisson(20000, 0.8, ExponentialSize{2.0}, 10, 2));
   const double lambda_hat = static_cast<double>(inst.n()) / inst.max_release();
   EXPECT_NEAR(lambda_hat * 2.0 / 2.0, 0.8, 0.05);
 }
 
 TEST(PoissonLoad, RejectsBadUtilization) {
-  Rng rng(11);
-  EXPECT_THROW((void)poisson_load(10, 1, 0.0, FixedSize{1.0}, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)poisson_load(10, 1, 2.0, FixedSize{1.0}, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)poisson_load(10, 0, 0.5, FixedSize{1.0}, rng),
+  EXPECT_THROW(
+      (void)make_instance(WorkloadSpec::poisson(10, 0.0, FixedSize{1.0}, 11)),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)make_instance(WorkloadSpec::poisson(10, 2.0, FixedSize{1.0}, 11)),
+      std::invalid_argument);
+  EXPECT_THROW((void)make_instance(
+                   WorkloadSpec::poisson(10, 0.5, FixedSize{1.0}, 11, 0)),
                std::invalid_argument);
 }
 
 TEST(BurstyStream, StructureIsCorrect) {
-  Rng rng(12);
-  const Instance inst = bursty_stream(3, 4, 10.0, FixedSize{1.0}, rng);
+  const Instance inst =
+      make_instance(WorkloadSpec::bursty(3, 4, 10.0, FixedSize{1.0}, 12));
   ASSERT_EQ(inst.n(), 12u);
   for (JobId j = 0; j < 12; ++j) {
     EXPECT_DOUBLE_EQ(inst.job(j).release, 10.0 * static_cast<double>(j / 4));
@@ -122,7 +130,7 @@ TEST(BurstyStream, StructureIsCorrect) {
 }
 
 TEST(UniformStream, EvenlySpaced) {
-  const Instance inst = uniform_stream(5, 2.0, 1.5, 1.0);
+  const Instance inst = make_instance(WorkloadSpec::uniform(5, 2.0, 1.5, 1.0));
   ASSERT_EQ(inst.n(), 5u);
   for (JobId j = 0; j < 5; ++j) {
     EXPECT_DOUBLE_EQ(inst.job(j).release, 1.0 + 2.0 * j);
@@ -131,9 +139,10 @@ TEST(UniformStream, EvenlySpaced) {
 }
 
 TEST(Generators, DeterministicGivenSeed) {
-  Rng a(99), b(99);
-  const Instance ia = poisson_stream(30, 1.0, ExponentialSize{1.0}, a);
-  const Instance ib = poisson_stream(30, 1.0, ExponentialSize{1.0}, b);
+  const WorkloadSpec spec =
+      WorkloadSpec::poisson(30, 0.9, ExponentialSize{1.0}, 99);
+  const Instance ia = make_instance(spec);
+  const Instance ib = make_instance(spec);
   for (JobId j = 0; j < 30; ++j) {
     EXPECT_DOUBLE_EQ(ia.job(j).release, ib.job(j).release);
     EXPECT_DOUBLE_EQ(ia.job(j).size, ib.job(j).size);

@@ -1,6 +1,6 @@
 // WorkloadSource factory: spec-built workloads are bitwise-identical to the
-// legacy generator calls they subsume, stream() and instance() agree, the
-// one SpecError path covers unknown kinds/params/values, and run_spec()
+// legacy generators they replaced, stream() and instance() agree, the one
+// SpecError path covers unknown kinds/params/values, and run_spec()
 // produces identical schedules through the streaming fast path and the
 // materialized event loop.  The bundled sample trace (path injected by
 // CMake through TEMPOFAIR_SAMPLE_TRACE) pins replay determinism against a
@@ -16,6 +16,7 @@
 
 #include "core/invariants.h"
 #include "workload/generators.h"
+#include "workload/rng.h"
 #include "workload/trace_io.h"
 
 namespace tempofair::workload {
@@ -38,11 +39,52 @@ void expect_same_jobs(const Instance& a, const Instance& b) {
 }
 
 // --- spec <-> legacy generator equivalence -----------------------------------
+//
+// The deprecated poisson_load/bursty_stream/uniform_stream generators are
+// gone; their draw order is kept here as the reference, so every fixed-seed
+// test that moved onto specs still sees the data it was written against.
+
+[[nodiscard]] Instance legacy_poisson_load(std::size_t n, int machines,
+                                           double utilization,
+                                           const SizeDist& dist, Rng& rng) {
+  const double lambda = utilization * machines / mean_size(dist);
+  std::vector<Job> jobs;
+  Time t = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    t += rng.exponential(1.0 / lambda);
+    jobs.push_back(Job{static_cast<JobId>(i), t, draw_size(dist, rng)});
+  }
+  return Instance::from_jobs(std::move(jobs));
+}
+
+[[nodiscard]] Instance legacy_bursty_stream(std::size_t bursts,
+                                            std::size_t per_burst, double gap,
+                                            const SizeDist& dist, Rng& rng) {
+  std::vector<Job> jobs;
+  JobId id = 0;
+  for (std::size_t b = 0; b < bursts; ++b) {
+    const Time t = static_cast<double>(b) * gap;
+    for (std::size_t i = 0; i < per_burst; ++i) {
+      jobs.push_back(Job{id++, t, draw_size(dist, rng)});
+    }
+  }
+  return Instance::from_jobs(std::move(jobs));
+}
+
+[[nodiscard]] Instance legacy_uniform_stream(std::size_t n, double gap,
+                                             double size, Time start) {
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    jobs.push_back(
+        Job{static_cast<JobId>(i), start + static_cast<double>(i) * gap, size});
+  }
+  return Instance::from_jobs(std::move(jobs));
+}
 
 TEST(WorkloadSource, PoissonSpecMatchesDeprecatedGenerator) {
   const SizeDist dist = ParetoSize{1.8, 0.5};
   Rng rng(7);
-  const Instance legacy = poisson_load(200, 2, 0.9, dist, rng);
+  const Instance legacy = legacy_poisson_load(200, 2, 0.9, dist, rng);
   const Instance via_spec =
       make_instance(WorkloadSpec::poisson(200, 0.9, dist, 7, 2));
   expect_same_jobs(legacy, via_spec);
@@ -51,14 +93,14 @@ TEST(WorkloadSource, PoissonSpecMatchesDeprecatedGenerator) {
 TEST(WorkloadSource, BurstySpecMatchesDeprecatedGenerator) {
   const SizeDist dist = ExponentialSize{2.0};
   Rng rng(5);
-  const Instance legacy = bursty_stream(6, 9, 12.0, dist, rng);
+  const Instance legacy = legacy_bursty_stream(6, 9, 12.0, dist, rng);
   const Instance via_spec =
       make_instance(WorkloadSpec::bursty(6, 9, 12.0, dist, 5));
   expect_same_jobs(legacy, via_spec);
 }
 
 TEST(WorkloadSource, UniformSpecMatchesDeprecatedGenerator) {
-  const Instance legacy = uniform_stream(30, 1.5, 2.0, 0.25);
+  const Instance legacy = legacy_uniform_stream(30, 1.5, 2.0, 0.25);
   const Instance via_spec =
       make_instance(WorkloadSpec::uniform(30, 1.5, 2.0, 0.25));
   expect_same_jobs(legacy, via_spec);
@@ -132,6 +174,8 @@ TEST(WorkloadSource, BadRangesRejected) {
   EXPECT_THROW((void)make_source("poisson:n=10,load=0"), SpecError);
   EXPECT_THROW((void)make_source("poisson:n=10,load=2"), SpecError);
   EXPECT_THROW((void)make_source("poisson:n=-5"), SpecError);
+  EXPECT_THROW((void)make_source("poisson:n=10,machines=0"), SpecError);
+  EXPECT_THROW((void)make_source("mmpp:n=10,machines=0"), SpecError);
   EXPECT_THROW((void)make_source("uniform:n=10,gap=-1"), SpecError);
   EXPECT_THROW((void)make_source("adv-geometric:levels=0"), SpecError);
 }
