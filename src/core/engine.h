@@ -190,11 +190,19 @@ class FastForwardCore {
   /// kQuantumRR: the replicated ready queue (rotation order), mirroring
   /// QuantumRoundRobin::queue_ event for event.
   std::deque<JobId> rr_queue_;
+  /// kLevelPriority: each alive job's MLFQ level and its threshold, id
+  /// order; always share_rules::mlfq_level_of(attained_) and
+  /// mlfq_threshold(level) (see fast_forward.cpp).
+  struct MlfqLevel {
+    int level;
+    double threshold;
+  };
+  std::vector<MlfqLevel> level_;
   /// Shared-rule scratch (core/share_rules.h) for the SETF/LAPS/MLFQ
-  /// kernels; buffers only, reused across events and runs.
+  /// kernels.  setf_scratch_.idx is kernel state: the (attained, index)
+  /// order, carried across events.  rule_idx_ is a buffer only.
   share_rules::SetfScratch setf_scratch_;
-  share_rules::MlfqScratch mlfq_scratch_;
-  std::vector<std::size_t> laps_idx_;
+  std::vector<std::size_t> rule_idx_;
   /// Per-run invariant battery (core/invariants.h), reused across runs.
   InvariantSet inv_;
 };

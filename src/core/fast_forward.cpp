@@ -32,6 +32,17 @@
 // kWeightedShare keep the id-sorted arrays primary (their rates/trace
 // rows are per-job anyway) with order_ as an id-indirected priority order.
 //
+// The shared-rule kinds (SETF, LAPS, MLFQ; core/share_rules.h) carry
+// incremental state across events instead of re-deriving it from the whole
+// alive set, each piece a cache of exactly what the rule would recompute:
+// MLFQ's level column (refreshed only for positive-rate jobs, by F3), SETF's
+// (attained, index)-sorted permutation (repaired by insertion; the order is
+// strict and total, so the repaired permutation is the sorted one), and
+// LAPS's release-descent count (zero means releases are monotone in id
+// order, so the latest arrivals are the index suffix).  Each rule reports
+// its positive-rate jobs, and the min-ratio, advance and completion passes
+// run over those only: by F3 every other job keeps its bits.
+//
 // Completion detection is exact, not windowed: after an advance the kernel
 // tests `rem <= kRelEps*size + kAbsEps` -- the generic loop's final test --
 // directly.  Scanning from the front of the sorted order and stopping at
@@ -41,6 +52,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -274,6 +286,8 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   weight_.clear();
   attained_.clear();
   order_.clear();
+  level_.clear();
+  setf_scratch_.idx.clear();
   ord_rem_.clear();
   ord_thr_.clear();
   rates_.clear();
@@ -330,6 +344,50 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
   std::size_t degenerate_alive = 0;
   Work max_size_admitted = 0.0;
 
+  // Incremental shared-rule state (see the file comment), kept in step with
+  // the id-sorted columns: rule_admitted(p) runs after a job entered them at
+  // position p, rule_erasing(p) before the job at p leaves them.
+  // kLatestArrival counts adjacent pairs whose release decreases in id
+  // order; on a stream (S2) it stays zero.
+  std::size_t release_descents = 0;
+  auto descends = [&](std::size_t a, std::size_t b) -> std::size_t {
+    return release_[a] > release_[b] ? 1 : 0;
+  };
+  auto rule_admitted = [&](std::size_t p) {
+    const std::size_t n = ids_.size();
+    if (kind == FastForwardKind::kLevelPriority) {
+      const int level =
+          share_rules::mlfq_level_of(ff.mlfq_base, ff.mlfq_growth, 0.0);
+      level_.insert(level_.begin() + static_cast<std::ptrdiff_t>(p),
+                    MlfqLevel{level, share_rules::mlfq_threshold(
+                                         ff.mlfq_base, ff.mlfq_growth, level)});
+    } else if (kind == FastForwardKind::kLatestArrival) {
+      if (p > 0 && p + 1 < n) release_descents -= descends(p - 1, p + 1);
+      if (p > 0) release_descents += descends(p - 1, p);
+      if (p + 1 < n) release_descents += descends(p, p + 1);
+    } else if (kind == FastForwardKind::kEqualAttained) {
+      // At attained 0 the job belongs at the front; setf_rates' insertion
+      // pass moves it behind any lower-index job also at 0.
+      auto& idx = setf_scratch_.idx;
+      for (std::size_t& e : idx) e += e >= p ? 1 : 0;
+      idx.insert(idx.begin(), p);
+    }
+  };
+  auto rule_erasing = [&](std::size_t p) {
+    const std::size_t n = ids_.size();
+    if (kind == FastForwardKind::kLevelPriority) {
+      level_.erase(level_.begin() + static_cast<std::ptrdiff_t>(p));
+    } else if (kind == FastForwardKind::kLatestArrival) {
+      if (p > 0) release_descents -= descends(p - 1, p);
+      if (p + 1 < n) release_descents -= descends(p, p + 1);
+      if (p > 0 && p + 1 < n) release_descents += descends(p - 1, p + 1);
+    } else if (kind == FastForwardKind::kEqualAttained) {
+      auto& idx = setf_scratch_.idx;
+      idx.erase(std::find(idx.begin(), idx.end(), p));
+      for (std::size_t& e : idx) e -= e > p ? 1 : 0;
+    }
+  };
+
   auto admit_arrivals = [&](Time t) -> std::size_t {
     std::size_t admitted = 0;
     while (!arrivals.exhausted() && arrivals.peek_release() <= t + kAbsEps) {
@@ -343,7 +401,10 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
           size_.insert(size_.begin() + p, j.size);
           release_.insert(release_.begin() + p, j.release);
           weight_.insert(weight_.begin() + p, j.weight);
-          if (rule_kind) attained_.insert(attained_.begin() + p, 0.0);
+          if (rule_kind) {
+            attained_.insert(attained_.begin() + p, 0.0);
+            rule_admitted(static_cast<std::size_t>(p));
+          }
         }
       }
       max_size_admitted = std::max(max_size_admitted, j.size);
@@ -432,6 +493,9 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     // shared-rule breakpoint (the policy's RateDecision::max_duration).
     Time breakpoint_dt = kInfiniteTime;
     Time completion_dt = kInfiniteTime;
+    // Shared-rule kinds: the alive indices the rule gave a positive rate
+    // (SETF's served groups, LAPS's sharing set, MLFQ's running set).
+    std::span<const std::size_t> active;
     switch (kind) {
       case FastForwardKind::kUniformShare:
         share = ff.uniform_share(n, machines, speed);
@@ -506,35 +570,44 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
         break;
       }
       // The shared-rule kinds evaluate the policy's exact rule body
-      // (core/share_rules.h) over the kernel's own columns -- identical
-      // floating-point program, so identical rates and breakpoints -- then
-      // take the earliest completion as the generic loop does: min over
-      // positive-rate jobs of rem/rate.  simd::min_ratio divides rate-zero
-      // jobs to +inf (rem > 0 always), which cannot win the min, so the
-      // unmasked vector reduction matches the guarded scalar min bitwise.
+      // (core/share_rules.h) over the kernel's own columns and incremental
+      // state -- identical floating-point program, so identical rates and
+      // breakpoints -- then take the earliest completion as the generic
+      // loop does: min over positive-rate jobs of rem/rate.  Only the
+      // active jobs are visited: a rate-zero job's rem/rate is +inf
+      // (rem > 0), which cannot win the min.
       case FastForwardKind::kEqualAttained:
         breakpoint_dt = share_rules::setf_rates(
             n, machines, speed, ff.level_tolerance,
             [this](std::size_t i) { return attained_[i]; }, rates_,
-            setf_scratch_);
-        completion_dt = simd::min_ratio(rem_.data(), rates_.data(), n);
+            setf_scratch_, /*order_kept=*/true);
+        active = {setf_scratch_.idx.data(), setf_scratch_.served};
         break;
-      case FastForwardKind::kLatestArrival:
-        share_rules::laps_rates(
+      case FastForwardKind::kLatestArrival: {
+        const std::size_t sharing = share_rules::laps_rates(
             n, machines, speed, ff.beta,
-            [this](std::size_t i) { return release_[i]; }, rates_, laps_idx_);
-        completion_dt = simd::min_ratio(rem_.data(), rates_.data(), n);
+            [this](std::size_t i) { return release_[i]; },
+            release_descents == 0, rates_, rule_idx_);
+        active = {rule_idx_.data(), sharing};
         break;
+      }
       case FastForwardKind::kLevelPriority:
         breakpoint_dt = share_rules::mlfq_rates(
-            n, machines, speed, ff.mlfq_base, ff.mlfq_growth,
+            n, machines, speed,
+            [this](std::size_t i) { return level_[i].level; },
+            [this](std::size_t i) { return level_[i].threshold; },
             [this](std::size_t i) { return attained_[i]; },
             [this](std::size_t i) { return release_[i]; }, rates_,
-            mlfq_scratch_);
-        completion_dt = simd::min_ratio(rem_.data(), rates_.data(), n);
+            rule_idx_);
+        active = {rule_idx_.data(),
+                  std::min(n, static_cast<std::size_t>(machines))};
         break;
       case FastForwardKind::kNone:
         engine_fail("fast path invoked without a FastForward capability");
+    }
+    for (const std::size_t a : active) {
+      const Time cdt = rem_[a] / rates_[a];
+      if (cdt < completion_dt) completion_dt = cdt;
     }
 
     // --- next event: arrival, completion, breakpoint, or max_time ---------
@@ -663,10 +736,26 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
             ++intervals_emitted;
           }
           // The generic loop's exact per-job advance (delta = rate * dt,
-          // attained += delta, remaining -= delta), fused over the SoA
-          // columns.  Rate-zero jobs keep their bits untouched (F3), so
-          // advancing everyone is safe and branch-free.
-          simd::advance(attained_.data(), rem_.data(), rates_.data(), n, dt);
+          // attained += delta, remaining -= delta) over the active jobs;
+          // rate-zero jobs would keep their bits anyway (F3).  Attained
+          // service moved only here, so only these levels can change, and
+          // only upward: a job below its cached threshold keeps its level,
+          // and one at or past it climbs from the next level up.
+          for (const std::size_t a : active) {
+            const Work delta = rates_[a] * dt;
+            attained_[a] += delta;
+            rem_[a] -= delta;
+          }
+          if (kind == FastForwardKind::kLevelPriority) {
+            for (const std::size_t a : active) {
+              MlfqLevel& l = level_[a];
+              if (attained_[a] < l.threshold) continue;
+              l.level = share_rules::mlfq_level_from(
+                  ff.mlfq_base, ff.mlfq_growth, attained_[a], l.level + 1);
+              l.threshold = share_rules::mlfq_threshold(
+                  ff.mlfq_base, ff.mlfq_growth, l.level);
+            }
+          }
           break;
         case FastForwardKind::kNone:
           break;  // unreachable; rejected above
@@ -715,13 +804,22 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     } else {
       std::size_t order_scan_end = 0;  // prefix of order_ the scan covered
       if (degenerate_alive > 0 || kind == FastForwardKind::kWeightedShare ||
-          rule_kind || (kind == FastForwardKind::kQuantumRR && qrr_all)) {
+          (kind == FastForwardKind::kQuantumRR && qrr_all)) {
         for (std::size_t i = 0; i < n; ++i) {
           if (rem_[i] <= kRelEps * size_[i] + kAbsEps) {
             completing_.push_back(ids_[i]);
           }
         }
         order_scan_end = order_.size();
+      } else if (rule_kind) {
+        // Only the active jobs lost work; completions are recorded in id
+        // order, as a full scan would find them.
+        for (const std::size_t a : active) {
+          if (rem_[a] <= kRelEps * size_[a] + kAbsEps) {
+            completing_.push_back(ids_[a]);
+          }
+        }
+        std::sort(completing_.begin(), completing_.end());
       } else if (kind == FastForwardKind::kQuantumRR) {
         // Only the running queue prefix lost work (none while switching).
         for (std::size_t i = 0; i < run_count; ++i) {
@@ -766,6 +864,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
           schedule.set_completion(id, now);
           if (live != nullptr) live->record(now - schedule.release(id));
           const auto p = static_cast<std::ptrdiff_t>(pos_of(id));
+          if (rule_kind) rule_erasing(static_cast<std::size_t>(p));
           ids_.erase(ids_.begin() + p);
           rem_.erase(rem_.begin() + p);
           size_.erase(size_.begin() + p);

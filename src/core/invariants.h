@@ -239,14 +239,15 @@ class InvariantSet {
   [[nodiscard]] bool active() const noexcept { return !checks_.empty(); }
 
   /// One call per clock-advancing event; counts the epoch and decides
-  /// whether it is due the full battery.  Kept inline: this is the only
-  /// per-event cost the layer adds to the engine's hot loops.
+  /// whether it is due the full battery.  Kept inline and down to one
+  /// counter: this is the only per-event cost the layer adds to the
+  /// engine's hot loops.  Exhaustive mode runs with period 1; an inactive
+  /// set counts down from SIZE_MAX and never comes due.  epochs_seen is
+  /// derived from the countdown in finish().
   [[nodiscard]] bool epoch_due() noexcept {
-    if (checks_.empty()) return false;
-    ++stats_.epochs_seen;
-    if (mode_ == InvariantMode::kExhaustive) return true;
     if (--countdown_ > 0) return false;
     countdown_ = period_;
+    ++due_;
     return true;
   }
 
@@ -284,9 +285,9 @@ class InvariantSet {
 
   std::vector<std::unique_ptr<InvariantCheck>> checks_;
   InvariantStats stats_;
-  InvariantMode mode_ = InvariantMode::kOff;
   std::size_t period_ = 1;
-  std::size_t countdown_ = 1;
+  std::size_t countdown_ = SIZE_MAX;
+  std::uint64_t due_ = 0;  // epoch_due() calls that came due
   const Schedule* schedule_ = nullptr;
   bool trace_complete_ = false;
   std::vector<Work> scratch_rem_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace tempofair {
 
@@ -67,35 +68,92 @@ double percentile(std::span<const double> values, double p) {
   return percentile_sorted(sorted, p);
 }
 
-FlowStats flow_stats(std::span<const double> flows) {
+namespace {
+
+/// flow_stats over a buffer it may permute: the sums run first, in the
+/// input order, then the three percentiles are selected in place.
+///
+/// Every field is bitwise what the separate passes produce (sum/sq, lk_norm
+/// at k = 2 and 3, linf_norm, and percentile() over a sorted copy): the
+/// passes are fused, but each accumulator still sees the values in input
+/// order with the same operations.  The percentiles are exact order
+/// statistics, found by selection instead of a sort, lowest rank first:
+/// nth_element places the lower rank, and its upper neighbour is the
+/// minimum of the part above.  Each later selection only partitions the
+/// suffix above the previous rank, which holds exactly the larger ranks,
+/// so p95 and p99 together touch about half the values.
+FlowStats flow_stats_in_place(std::vector<double>& flows) {
   FlowStats s;
   s.n = flows.size();
   if (flows.empty()) return s;
-  double sum = 0.0, sq = 0.0;
+  double sum = 0.0, sq = 0.0, vmax = 0.0;
   for (double f : flows) {
     sum += f;
     sq += f * f;
+    if (f < 0.0) throw std::invalid_argument("lk_norm: negative value");
+    vmax = std::max(vmax, f);
+  }
+  if (vmax > 0.0) {
+    // The exponents are read at run time on purpose: with a literal 2.0 the
+    // compiler rewrites std::pow(x, 2.0) as x * x, whose bits differ from
+    // pow()'s for rare x, and lk_norm() always calls pow().
+    static const volatile double kExponent[2] = {2.0, 3.0};
+    const double k2 = kExponent[0];
+    const double k3 = kExponent[1];
+    double sum2 = 0.0, sum3 = 0.0;
+    for (double f : flows) {
+      const double x = f / vmax;
+      sum2 += std::pow(x, k2);
+      sum3 += std::pow(x, k3);
+    }
+    s.l2 = vmax * std::pow(sum2, 1.0 / k2);
+    s.l3 = vmax * std::pow(sum3, 1.0 / k3);
   }
   s.l1 = sum;
-  s.l2 = lk_norm(flows, 2.0);
-  s.l3 = lk_norm(flows, 3.0);
-  s.linf = linf_norm(flows);
+  s.linf = vmax;
   s.mean = sum / static_cast<double>(s.n);
   s.variance = std::max(0.0, sq / static_cast<double>(s.n) - s.mean * s.mean);
   s.stddev = std::sqrt(s.variance);
-  // One copy + one sort serves all three percentiles (sorting per
-  // percentile dominated the whole fast-path run on 100k-job instances).
-  std::vector<double> sorted(flows.begin(), flows.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.p50 = percentile_sorted(sorted, 50.0);
-  s.p95 = percentile_sorted(sorted, 95.0);
-  s.p99 = percentile_sorted(sorted, 99.0);
+
+  // flows[lower, n) holds exactly the ranks from `lower` up, and the last
+  // selection found ranks lower - 1 and lower (at_lo, above).
+  const std::size_t n = flows.size();
+  const auto first = flows.begin();
+  std::size_t lower = 0;
+  double at_lo = 0.0;
+  double above = 0.0;
+  const auto select = [&](double p) {
+    // The positions and the blend are percentile_sorted()'s, verbatim.
+    const double pos = (p / 100.0) * static_cast<double>(n - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
+    const double frac = pos - static_cast<double>(lo);
+    if (lo >= lower) {  // else lo == lower - 1: the last selection's rank
+      std::nth_element(first + static_cast<std::ptrdiff_t>(lower),
+                       first + static_cast<std::ptrdiff_t>(lo), flows.end());
+      at_lo = flows[lo];
+      const auto next = first + static_cast<std::ptrdiff_t>(lo + 1);
+      above = lo + 1 < n ? *std::min_element(next, flows.end()) : at_lo;
+      lower = lo + 1;
+    }
+    return at_lo * (1.0 - frac) + (hi > lo ? above : at_lo) * frac;
+  };
+  s.p50 = select(50.0);
+  s.p95 = select(95.0);
+  s.p99 = select(99.0);
   return s;
 }
 
+}  // namespace
+
+FlowStats flow_stats(std::span<const double> flows) {
+  std::vector<double> scratch(flows.begin(), flows.end());
+  return flow_stats_in_place(scratch);
+}
+
 FlowStats flow_stats(const Schedule& schedule) {
-  const std::vector<Time> flows = schedule.flows();
-  return flow_stats(flows);
+  std::vector<Time> flows = schedule.flows();
+  return flow_stats_in_place(flows);
 }
 
 // The Schedule overloads below recompute F_j = C_j - r_j from the schedule's
@@ -234,7 +292,10 @@ std::size_t LiveMetrics::expected() const {
   return expected_;
 }
 
-FlowStats LiveMetrics::snapshot() const { return flow_stats(flows()); }
+FlowStats LiveMetrics::snapshot() const {
+  std::vector<double> copy = flows();
+  return flow_stats_in_place(copy);
+}
 
 double LiveMetrics::lk(double k) const { return lk_norm(flows(), k); }
 

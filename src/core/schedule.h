@@ -63,6 +63,8 @@ class Schedule {
   [[nodiscard]] std::span<const Time> releases() const noexcept {
     return release_;
   }
+  /// All job sizes, indexed by job id.
+  [[nodiscard]] std::span<const Work> sizes() const noexcept { return size_; }
   /// All job weights, indexed by job id.
   [[nodiscard]] std::span<const double> weights() const noexcept {
     return weight_;

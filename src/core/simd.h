@@ -65,15 +65,6 @@ inline void sub_scalar(double* v, std::size_t n, double delta) noexcept {
   for (std::size_t i = 0; i < n; ++i) v[i] -= delta;
 }
 
-inline void advance(double* attained, double* remaining, const double* rates,
-                    std::size_t n, double dt) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double delta = rates[i] * dt;
-    attained[i] += delta;
-    remaining[i] -= delta;
-  }
-}
-
 inline void sub_product(double* remaining, const double* rates, std::size_t n,
                         double dt) noexcept {
   for (std::size_t i = 0; i < n; ++i) remaining[i] -= rates[i] * dt;
@@ -113,33 +104,6 @@ inline void sub_scalar(double* v, std::size_t n, double delta) noexcept {
   }
 #endif
   scalar::sub_scalar(v, n, delta);
-}
-
-/// attained[i] += rates[i]*dt; remaining[i] -= rates[i]*dt.  The generic
-/// loop's per-job advance, fused over the SoA columns.  Explicit mul then
-/// add/sub -- never FMA -- so the rounding matches the scalar loop exactly.
-inline void advance(double* attained, double* remaining, const double* rates,
-                    std::size_t n, double dt) noexcept {
-#if defined(TEMPOFAIR_SIMD_AVX2)
-  if (!force_scalar()) {
-    const __m256d vdt = _mm256_set1_pd(dt);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d delta = _mm256_mul_pd(_mm256_loadu_pd(rates + i), vdt);
-      _mm256_storeu_pd(attained + i,
-                       _mm256_add_pd(_mm256_loadu_pd(attained + i), delta));
-      _mm256_storeu_pd(remaining + i,
-                       _mm256_sub_pd(_mm256_loadu_pd(remaining + i), delta));
-    }
-    for (; i < n; ++i) {
-      const double delta = rates[i] * dt;
-      attained[i] += delta;
-      remaining[i] -= delta;
-    }
-    return;
-  }
-#endif
-  scalar::advance(attained, remaining, rates, n, dt);
 }
 
 /// remaining[i] -= rates[i]*dt (the kWeightedShare fused advance; no

@@ -14,9 +14,11 @@ Laps::Laps(double beta) : beta_(beta) {
 RateDecision Laps::rates(const SchedulerContext& ctx) {
   const auto alive = ctx.alive;
   RateDecision d;
+  // No monotone-release hint: the policy sees arbitrary alive sets.
   share_rules::laps_rates(
       ctx.n_alive(), ctx.machines, ctx.speed, beta_,
-      [alive](std::size_t i) { return alive[i].release; }, d.rates, idx_);
+      [alive](std::size_t i) { return alive[i].release; },
+      /*release_monotone=*/false, d.rates, idx_);
   return d;
 }
 

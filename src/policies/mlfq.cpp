@@ -24,11 +24,15 @@ int Mlfq::level_of(double attained) const noexcept {
 
 RateDecision Mlfq::rates(const SchedulerContext& ctx) {
   const auto alive = ctx.alive;
+  const std::size_t n = ctx.n_alive();
+  levels_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) levels_[i] = level_of(alive[i].attained);
   RateDecision d;
   d.max_duration = share_rules::mlfq_rates(
-      ctx.n_alive(), ctx.machines, ctx.speed, base_, growth_,
+      n, ctx.machines, ctx.speed, [this](std::size_t i) { return levels_[i]; },
+      [this](std::size_t i) { return threshold(levels_[i]); },
       [alive](std::size_t i) { return alive[i].attained; },
-      [alive](std::size_t i) { return alive[i].release; }, d.rates, scratch_);
+      [alive](std::size_t i) { return alive[i].release; }, d.rates, idx_);
   return d;
 }
 

@@ -8,8 +8,12 @@
 //
 // The allocation rule lives in core/share_rules.h (mlfq_rates / mlfq_level_of
 // / mlfq_threshold), shared with FastForwardCore's kLevelPriority kernel so
-// the fast path is bitwise-equal to the event loop.
+// the fast path is bitwise-equal to the event loop.  rates() computes every
+// alive job's level from scratch; the kernel caches the same levels.
 #pragma once
+
+#include <cstddef>
+#include <vector>
 
 #include "core/policy.h"
 #include "core/share_rules.h"
@@ -36,7 +40,9 @@ class Mlfq final : public Policy {
  private:
   double base_;
   double growth_;
-  share_rules::MlfqScratch scratch_;  // buffers only; no rule state (C2)
+  // mlfq_rates buffers only; no rule state (C2).
+  std::vector<int> levels_;
+  std::vector<std::size_t> idx_;
 };
 
 }  // namespace tempofair

@@ -15,7 +15,8 @@ RateDecision Setf::rates(const SchedulerContext& ctx) {
   RateDecision d;
   d.max_duration = share_rules::setf_rates(
       ctx.n_alive(), ctx.machines, ctx.speed, tol_,
-      [alive](std::size_t i) { return alive[i].attained; }, d.rates, scratch_);
+      [alive](std::size_t i) { return alive[i].attained; }, d.rates, scratch_,
+      /*order_kept=*/false);
   return d;
 }
 

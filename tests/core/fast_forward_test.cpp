@@ -232,6 +232,62 @@ TEST(FastForwardEquivalence, MillionJobStreamMatchesEventLoop) {
   expect_identical(fast.schedule, slow.schedule);
 }
 
+TEST(FastForwardEquivalence, LongStreamRuleKindsMatchEventLoop) {
+  // The shared-rule kinds carry state across events (MLFQ's level column,
+  // SETF's sorted permutation, LAPS's monotone-release hint).  A long
+  // stream drives that state through many busy periods, level crossings
+  // and group merges; every completion must still match the generic loop,
+  // which recomputes each rule from scratch.
+  const std::size_t n = 100'000;
+  for (const int machines : {1, 4}) {
+    const auto source = workload::make_source(WorkloadSpec::poisson(
+        n, 0.9, workload::ExponentialSize{1.5},
+        kSeed + 211 + static_cast<std::uint64_t>(machines), machines));
+    const Instance instance = source->instance();
+    for (const std::string policy : {"setf", "laps:0.5", "mlfq"}) {
+      SCOPED_TRACE("policy=" + policy + " m=" + std::to_string(machines));
+      RunRequest fast_req;
+      fast_req.policy = policy;
+      fast_req.machines = machines;
+      fast_req.record_trace = false;
+      fast_req.invariants = InvariantMode::kExhaustive;
+      RunRequest slow_req = fast_req;
+      slow_req.use_fast_path = false;
+
+      const std::unique_ptr<JobStream> stream = source->stream();
+      const RunResult fast = run(*stream, fast_req);
+      const RunResult slow = run(instance, slow_req);
+      EXPECT_TRUE(fast.invariants.ok()) << summarize(fast.invariants);
+      ASSERT_EQ(fast.schedule.n(), n);
+      expect_identical(fast.schedule, slow.schedule);
+    }
+  }
+}
+
+TEST(FastForwardEquivalence, ShuffledIdsRuleKindsMatchEventLoop) {
+  // Ids in shuffled release order, releases on a coarse grid (many ties).
+  // Arrivals land mid-column, so the kernel remaps SETF's sorted
+  // permutation and shifts MLFQ's level column on every admission, and the
+  // LAPS alive set keeps moving between releases monotone in id (the
+  // suffix form of laps_rates) and not (the partial_sort fallback), which
+  // exercises the release-descent count on every admission and completion.
+  workload::Rng rng(kSeed + 307);
+  std::vector<std::pair<Time, Work>> pairs;
+  for (int i = 0; i < 400; ++i) {
+    const Time release =
+        0.5 * static_cast<double>(static_cast<int>(rng.uniform(0.0, 120.0)));
+    pairs.emplace_back(release, rng.uniform(0.05, 1.2));
+  }
+  const Instance instance = Instance::from_pairs(pairs);
+  for (const int machines : {1, 3}) {
+    for (const std::string policy :
+         {"laps:0.5", "laps:0.3", "laps:1", "setf", "mlfq"}) {
+      run_both_and_compare(instance, policy, machines, /*record_trace=*/true);
+      run_both_and_compare(instance, policy, machines, /*record_trace=*/false);
+    }
+  }
+}
+
 TEST(FastForwardEquivalence, DegenerateSizesStillMatch) {
   // Jobs already under the completion threshold at admission force the
   // kernel's degenerate (full-scan) branch; the generic loop handles them

@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "core/instance.h"
+#include "core/schedule.h"
 
 namespace tempofair {
 namespace {
@@ -202,6 +211,105 @@ TEST(FlowStats, SingleValue) {
   EXPECT_DOUBLE_EQ(s.variance, 0.0);
   EXPECT_DOUBLE_EQ(s.l2, 7.0);
   EXPECT_DOUBLE_EQ(s.p99, 7.0);
+}
+
+// The sort-based FlowStats the library computed before it switched to
+// selection: separate passes through the public norms, and percentile()
+// over a sorted copy.  flow_stats must reproduce it bit for bit.
+FlowStats sort_based_flow_stats(const std::vector<double>& v) {
+  FlowStats s;
+  s.n = v.size();
+  if (v.empty()) return s;
+  double sum = 0.0, sq = 0.0;
+  for (const double f : v) {
+    sum += f;
+    sq += f * f;
+  }
+  s.l1 = sum;
+  s.l2 = lk_norm(v, 2.0);
+  s.l3 = lk_norm(v, 3.0);
+  s.linf = linf_norm(v);
+  s.mean = sum / static_cast<double>(s.n);
+  s.variance = std::max(0.0, sq / static_cast<double>(s.n) - s.mean * s.mean);
+  s.stddev = std::sqrt(s.variance);
+  s.p50 = percentile(v, 50.0);
+  s.p95 = percentile(v, 95.0);
+  s.p99 = percentile(v, 99.0);
+  return s;
+}
+
+void expect_bitwise_equal(const FlowStats& got, const FlowStats& want) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(got.n, want.n);
+  EXPECT_EQ(bits(got.l1), bits(want.l1));
+  EXPECT_EQ(bits(got.l2), bits(want.l2));
+  EXPECT_EQ(bits(got.l3), bits(want.l3));
+  EXPECT_EQ(bits(got.linf), bits(want.linf));
+  EXPECT_EQ(bits(got.mean), bits(want.mean));
+  EXPECT_EQ(bits(got.variance), bits(want.variance));
+  EXPECT_EQ(bits(got.stddev), bits(want.stddev));
+  EXPECT_EQ(bits(got.p50), bits(want.p50));
+  EXPECT_EQ(bits(got.p95), bits(want.p95));
+  EXPECT_EQ(bits(got.p99), bits(want.p99));
+}
+
+void expect_bitwise_stats(const std::vector<double>& v) {
+  SCOPED_TRACE("n=" + std::to_string(v.size()));
+  expect_bitwise_equal(flow_stats(v), sort_based_flow_stats(v));
+}
+
+TEST(FlowStats, SelectionMatchesSortBasedBitwise) {
+  std::mt19937_64 rng(20260806);
+  std::exponential_distribution<double> flow(0.4);
+  std::uniform_int_distribution<int> tie(0, 3);
+  const std::size_t sizes[] = {1, 2, 3, 4, 5, 7, 20, 99, 100, 101, 1000, 4099};
+  for (const std::size_t n : sizes) {
+    std::vector<double> random(n), ties(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      random[i] = flow(rng);
+      ties[i] = 0.5 * static_cast<double>(tie(rng));  // four values, 0 included
+    }
+    expect_bitwise_stats(random);
+    expect_bitwise_stats(ties);
+    expect_bitwise_stats(std::vector<double>(n, 2.75));
+    expect_bitwise_stats(std::vector<double>(n, 0.0));
+    // Sorted either way: selection must not depend on the input order.
+    std::sort(random.begin(), random.end());
+    expect_bitwise_stats(random);
+    std::reverse(random.begin(), random.end());
+    expect_bitwise_stats(random);
+  }
+}
+
+TEST(FlowStats, L2TermsArePowNotSquares) {
+  // For rare x, pow(x, 2) and x * x round apart (libms whose pow is not
+  // correctly rounded), and lk_norm() -- the reference -- calls pow().  A
+  // compiler may rewrite pow with a literal 2 as a square, so flow_stats
+  // must reach pow() the way lk_norm() does.  Pairs {1, x} for such x make
+  // the difference visible in l2.
+  volatile double two = 2.0;
+  std::size_t found = 0;
+  for (int i = 0; i < 400'000 && found < 64; ++i) {
+    const double x = 0.7 + 0.3 * static_cast<double>(i) / 400'000.0;
+    if (std::pow(x, static_cast<double>(two)) == x * x) continue;
+    ++found;
+    expect_bitwise_stats({1.0, x});
+  }
+}
+
+TEST(FlowStats, ScheduleOverloadMatchesSortBased) {
+  std::mt19937_64 rng(7);
+  std::exponential_distribution<double> size(1.0);
+  std::vector<std::pair<Time, Work>> pairs;
+  for (int i = 0; i < 500; ++i) pairs.emplace_back(0.1 * i, size(rng) + 0.01);
+  Schedule schedule(Instance::from_pairs(pairs), 1, 1.0);
+  Time t = 0.0;
+  for (JobId id = 0; id < 500; ++id) {
+    t = std::max(t, schedule.release(id)) + schedule.size(id);
+    schedule.set_completion(id, t);
+  }
+  expect_bitwise_equal(flow_stats(schedule),
+                       sort_based_flow_stats(schedule.flows()));
 }
 
 TEST(LinfNorm, EmptyIsZero) {

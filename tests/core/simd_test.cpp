@@ -61,33 +61,6 @@ TEST(SimdKernels, SubScalarMatchesReference) {
   }
 }
 
-TEST(SimdKernels, AdvanceMatchesReference) {
-  workload::Rng rng(kSeed + 1);
-  for (const std::size_t n : kSizes) {
-    const std::vector<double> att0 = random_column(rng, n, 0.0, 5.0);
-    const std::vector<double> rem0 = random_column(rng, n, 0.0, 20.0);
-    std::vector<double> rates = random_column(rng, n, 0.0, 3.0);
-    // Zero rates are common (priority policies); their bits must be
-    // untouched by the advance (the F3 identity the kernel relies on).
-    for (std::size_t i = 0; i < n; i += 3) rates[i] = 0.0;
-    const double dt = rng.uniform(0.0, 1.5);
-    std::vector<double> att_got = att0;
-    std::vector<double> rem_got = rem0;
-    std::vector<double> att_want = att0;
-    std::vector<double> rem_want = rem0;
-    simd::advance(att_got.data(), rem_got.data(), rates.data(), n, dt);
-    simd::scalar::advance(att_want.data(), rem_want.data(), rates.data(), n,
-                          dt);
-    expect_bitwise_equal(att_got, att_want, "advance/attained");
-    expect_bitwise_equal(rem_got, rem_want, "advance/remaining");
-    for (std::size_t i = 0; i < n; i += 3) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(att_got[i]),
-                std::bit_cast<std::uint64_t>(att0[i]))
-          << "zero-rate job " << i << " moved";
-    }
-  }
-}
-
 TEST(SimdKernels, SubProductMatchesReference) {
   workload::Rng rng(kSeed + 2);
   for (const std::size_t n : kSizes) {

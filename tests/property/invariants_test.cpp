@@ -274,6 +274,24 @@ TEST(InvariantNegative, CompletionBeforeServiceBoundTripsCompletionConsistency) 
   expect_trips_exactly(s, plain_profile(1, 1.0), "completion_consistency");
 }
 
+TEST(InvariantNegative, UncompletedJobTripsCompletionConsistencyOnce) {
+  // Job 1 never completes.  Its trace shows none of its work either, but
+  // "never completed" is the one report: the lost-work audit skips it.
+  Schedule s(2, /*machines=*/1, /*speed=*/1.0);
+  s.admit_job(0, 0.0, 1.0, 1.0);
+  s.admit_job(1, 0.0, 1.0, 1.0);
+  s.push_interval(0.0, 1.0, {RateShare{0, 1.0}, RateShare{1, 0.0}});
+  s.set_completion(0, 1.0);
+  s.set_trace_recorded(true);
+  InvariantRunProfile profile = plain_profile(1, 1.0);
+  profile.traits.work_conserving = false;
+  const InvariantStats stats = check_schedule(s, profile);
+  ASSERT_EQ(stats.reports.size(), 1u) << summarize(stats);
+  EXPECT_EQ(stats.reports[0].check, "completion_consistency");
+  EXPECT_EQ(stats.reports[0].job, 1u);
+  EXPECT_NE(stats.reports[0].detail.find("never completed"), std::string::npos);
+}
+
 TEST(InvariantNegative, OverservedJobTripsMonotoneRemaining) {
   // One unit of work served for two units of time at rate 1: remaining
   // goes negative inside the epoch.
