@@ -11,6 +11,7 @@
 #include "core/metrics.h"
 #include "harness/sweep.h"
 #include "harness/thread_pool.h"
+#include "lpsolve/lower_bounds.h"
 #include "policies/mlfq.h"
 #include "policies/priority_policies.h"
 #include "policies/round_robin.h"
@@ -308,6 +309,25 @@ Report run_fastpath_cases(const CaseOptions& options) {
         });
     c.stats["jobs"] = static_cast<double>(n_trace);
     c.stats["l2_norm_total"] = norms;
+    report.cases.push_back(std::move(c));
+  }
+
+  // --- LP lower bound: opt_bounds on one small instance ---------------------
+  // The discretized LP (min-cost flow over a ~600-slot grid), its exact
+  // rational certificate and the SRPT/SJF proxy runs.  Seed 101 of the
+  // exp(1.5) family at k = 2 is the costliest case of perfbench's
+  // certify_lp batch.  The instance is the same in smoke mode.
+  {
+    const Instance inst = workload::make_instance(
+        "poisson:n=40,load=0.9,dist=exp(1.5),seed=101");
+    lpsolve::OptBoundsOptions bounds_options;
+    bounds_options.k = 2.0;
+    double lb_total = 0.0;
+    CaseResult c = measure("lp_opt_bounds_exp_k2" + suffix, repeats, [&] {
+      lb_total += lpsolve::opt_bounds(inst, bounds_options).certified_lb;
+    });
+    c.stats["jobs"] = static_cast<double>(inst.n());
+    c.stats["certified_lb_total"] = lb_total;
     report.cases.push_back(std::move(c));
   }
 

@@ -6,7 +6,8 @@
 // generation, because "million jobs end to end without materializing the
 // instance" is exactly the claim being measured).  Event-loop/fast-path
 // pairs run on the identical instance so the derived
-// `speedup_vs_event_loop` stat is apples to apples.
+// `speedup_vs_event_loop` stat is apples to apples.  The one non-engine
+// case, `lp_opt_bounds_exp_k2`, times one exact LP lower bound.
 #pragma once
 
 #include <cstddef>

@@ -23,13 +23,28 @@ struct Grid {
   }
   /// Slot containing the release.  Granting the *whole* slot (not just the
   /// part after r_j) relaxes the LP, and the cost there is evaluated at r_j
-  /// itself (unit_cost clamps t - r_j at 0) -- both effects only lower the
-  /// discrete optimum, keeping it a valid lower bound on the continuous LP.
+  /// itself (the cost column clamps t - r_j at 0) -- both effects only lower
+  /// the discrete optimum, keeping it a valid lower bound on the continuous
+  /// LP.
   [[nodiscard]] std::size_t first_slot_for(double release) const {
     const double rel = (release - t0) / slot;
     return static_cast<std::size_t>(std::floor(rel + 1e-12));
   }
 };
+
+[[nodiscard]] bool lp_included(const Job& j) {
+  return j.size >= kMinLpJobSize;
+}
+
+/// The jobs the LP routes, in id order.
+std::vector<const Job*> included_jobs(const Instance& instance) {
+  std::vector<const Job*> included;
+  included.reserve(instance.n());
+  for (const Job& j : instance.jobs()) {
+    if (lp_included(j)) included.push_back(&j);
+  }
+  return included;
+}
 
 Grid make_grid(const Instance& instance, const FlowtimeLpOptions& options) {
   if (instance.empty()) {
@@ -54,18 +69,61 @@ Grid make_grid(const Instance& instance, const FlowtimeLpOptions& options) {
   g.slots = static_cast<std::size_t>(std::ceil(horizon / g.slot)) + 1;
   if (options.max_slots > 0) g.slots = std::min(g.slots, options.max_slots);
   if (g.slots == 0) throw std::invalid_argument("flowtime_lp: zero slots");
+  // A capped grid can end before a release, leaving that job no slot.
+  for (const Job& j : instance.jobs()) {
+    if (lp_included(j) && g.first_slot_for(j.release) >= g.slots) {
+      throw std::invalid_argument(
+          "flowtime_lp: max_slots ends the grid before a job's release");
+    }
+  }
   return g;
 }
 
-/// Cost per unit of processing of job j in slot s (evaluated at slot start).
-double unit_cost(const Job& j, const Grid& g, std::size_t s, double k) {
-  const double t = std::max(g.slot_start(s) - j.release, 0.0);
-  return (std::pow(t, k) + std::pow(j.size, k)) / j.size;
-}
+/// The unit costs c_jt = ((t - r_j)^k + p_j^k) / p_j of every materialized
+/// (job, slot) pair, t the slot start, in job-major order.  Computed once:
+/// the flow graph (or the dense LP), the dual best response and its exact
+/// re-check all read these doubles.
+class CostColumn {
+ public:
+  CostColumn(const std::vector<const Job*>& jobs, const Grid& g, double k) {
+    first_slot_.reserve(jobs.size());
+    offset_.reserve(jobs.size() + 1);
+    offset_.push_back(0);
+    for (const Job* j : jobs) {
+      first_slot_.push_back(g.first_slot_for(j->release));
+      offset_.push_back(offset_.back() + (g.slots - first_slot_.back()));
+    }
+    cost_.reserve(offset_.back());
+    for (std::size_t ji = 0; ji < jobs.size(); ++ji) {
+      const Job& j = *jobs[ji];
+      const double size_k = std::pow(j.size, k);
+      for (std::size_t s = first_slot_[ji]; s < g.slots; ++s) {
+        const double t = std::max(g.slot_start(s) - j.release, 0.0);
+        cost_.push_back((std::pow(t, k) + size_k) / j.size);
+      }
+    }
+  }
 
-[[nodiscard]] bool lp_included(const Job& j) {
-  return j.size >= kMinLpJobSize;
-}
+  /// First slot of the ji-th job.
+  [[nodiscard]] std::size_t first_slot(std::size_t ji) const {
+    return first_slot_[ji];
+  }
+  /// Position of (ji-th job, slot s >= first_slot(ji)) in the column.
+  [[nodiscard]] std::size_t index(std::size_t ji, std::size_t s) const {
+    return offset_[ji] + (s - first_slot_[ji]);
+  }
+  [[nodiscard]] double at(std::size_t ji, std::size_t s) const {
+    return cost_[index(ji, s)];
+  }
+  [[nodiscard]] const std::vector<double>& values() const noexcept {
+    return cost_;
+  }
+
+ private:
+  std::vector<std::size_t> first_slot_;
+  std::vector<std::size_t> offset_;  // per job, plus the end
+  std::vector<double> cost_;
+};
 
 /// Dyadic grid for quantized duals: multiples of 2^-24 keep every
 /// denominator a power of two small enough that the exact dual objective
@@ -89,7 +147,8 @@ constexpr unsigned kDualGridBits = 24;
 /// overflow poisons the result and yields certified = false.
 CertifiedBound certify_flowtime_dual(
     const std::vector<const Job*>& included, const Grid& g,
-    const FlowtimeLpOptions& options, const MinCostFlow& mcf,
+    const CostColumn& costs, const FlowtimeLpOptions& options,
+    const MinCostFlow& mcf,
     std::size_t slot_node0, std::size_t sink_node,
     const std::vector<std::size_t>& slot_edge_handles) {
   const double slot_cap = g.slot * options.machines;
@@ -113,12 +172,9 @@ CertifiedBound certify_flowtime_dual(
   // alpha_j = max(0, floor_grid(min_t (c_jt + beta_t))), computed exactly.
   std::vector<Rational> alpha(included.size());
   for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
-    const Job& j = *included[ji];
-    const std::size_t first = g.first_slot_for(j.release);
     Rational best = Rational::invalid();
-    for (std::size_t s = first; s < g.slots; ++s) {
-      const Rational cand =
-          Rational::from_double(unit_cost(j, g, s, options.k)) + beta[s];
+    for (std::size_t s = costs.first_slot(ji); s < g.slots; ++s) {
+      const Rational cand = Rational::from_double(costs.at(ji, s)) + beta[s];
       if (!cand.valid()) {
         ok = false;
         break;
@@ -137,9 +193,8 @@ CertifiedBound certify_flowtime_dual(
   // Independent exact feasibility re-check of every dual constraint, so the
   // certificate does not depend on the construction above being right.
   for (std::size_t ji = 0; ji < included.size() && ok; ++ji) {
-    const Job& j = *included[ji];
-    for (std::size_t s = g.first_slot_for(j.release); s < g.slots; ++s) {
-      const Rational c = Rational::from_double(unit_cost(j, g, s, options.k));
+    for (std::size_t s = costs.first_slot(ji); s < g.slots; ++s) {
+      const Rational c = Rational::from_double(costs.at(ji, s));
       if (!(alpha[ji] - beta[s] <= c)) {  // fails closed on invalid
         ok = false;
         break;
@@ -175,15 +230,9 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
   const Grid g = make_grid(instance, options);
   const std::size_t n = instance.n();
 
-  std::vector<const Job*> included;
-  included.reserve(n);
+  const std::vector<const Job*> included = included_jobs(instance);
   double included_work = 0.0;
-  for (const Job& j : instance.jobs()) {
-    if (lp_included(j)) {
-      included.push_back(&j);
-      included_work += j.size;
-    }
-  }
+  for (const Job* j : included) included_work += j->size;
 
   // Check the (possibly capped) grid has enough capacity for the work we
   // actually route.
@@ -206,13 +255,13 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
   for (std::size_t s = 0; s < g.slots; ++s) {
     slot_edge[s] = mcf.add_edge(kSlot0 + s, kSink, slot_cap, 0.0);
   }
+  const CostColumn costs(included, g, options.k);
   std::size_t edges = g.slots;
-  for (const Job* jp : included) {
-    const Job& j = *jp;
+  for (std::size_t ji = 0; ji < included.size(); ++ji) {
+    const Job& j = *included[ji];
     mcf.add_edge(kSource, kJob0 + j.id, j.size, 0.0);
     ++edges;
-    const std::size_t first = g.first_slot_for(j.release);
-    for (std::size_t s = first; s < g.slots; ++s) {
+    for (std::size_t s = costs.first_slot(ji); s < g.slots; ++s) {
       // The slot->sink edge already caps how much any slot absorbs (the LP of
       // the paper lets a job run on several machines simultaneously), so the
       // job->slot arcs get a deliberately never-binding capacity.  This is
@@ -221,7 +270,7 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
       // (alpha_j - beta_t <= c_jt, tight on flow-carrying arcs) that
       // certify_flowtime_dual builds the exact certificate from.
       mcf.add_edge(kJob0 + j.id, kSlot0 + s, included_work + 1.0,
-                   unit_cost(j, g, s, options.k));
+                   costs.at(ji, s));
       ++edges;
     }
   }
@@ -237,51 +286,34 @@ FlowtimeLpResult solve_flowtime_lp(const Instance& instance,
   out.slots = g.slots;
   out.edges = edges;
   out.skipped_jobs = n - included.size();
-  out.certificate = certify_flowtime_dual(included, g, options, mcf, kSlot0,
-                                          kSink, slot_edge);
+  out.certificate = certify_flowtime_dual(included, g, costs, options, mcf,
+                                          kSlot0, kSink, slot_edge);
   return out;
 }
 
 LinearProgram build_flowtime_lp(const Instance& instance,
                                 const FlowtimeLpOptions& options) {
   const Grid g = make_grid(instance, options);
-  const std::size_t n = instance.n();
 
-  // Variable layout: for each *included* job j (in id order), one variable
-  // per slot s >= first_slot_for(r_j).  Tiny jobs are dropped exactly as in
-  // solve_flowtime_lp so the two solvers stay comparable.
-  std::vector<bool> incl(n, false);
-  std::vector<std::size_t> var_base(n + 1, 0);
-  std::vector<std::size_t> first_slot(n, 0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const Job& job = instance.job(static_cast<JobId>(j));
-    incl[j] = lp_included(job);
-    first_slot[j] = g.first_slot_for(job.release);
-    var_base[j + 1] =
-        var_base[j] + (incl[j] ? g.slots - first_slot[j] : 0);
-  }
-  const std::size_t num_vars = var_base[n];
+  // Variable layout: for each *included* job (in id order), one variable per
+  // slot s >= first_slot_for(r_j) -- the cost column's own order.  Tiny jobs
+  // are dropped exactly as in solve_flowtime_lp so the two solvers stay
+  // comparable.
+  const std::vector<const Job*> included = included_jobs(instance);
+  const CostColumn costs(included, g, options.k);
+  const std::size_t num_vars = costs.values().size();
 
   LinearProgram lp;
-  lp.objective.assign(num_vars, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!incl[j]) continue;
-    const Job& job = instance.job(static_cast<JobId>(j));
-    for (std::size_t s = first_slot[j]; s < g.slots; ++s) {
-      lp.objective[var_base[j] + (s - first_slot[j])] =
-          unit_cost(job, g, s, options.k);
-    }
-  }
+  lp.objective = costs.values();
   // sum_t x_{jt} >= p_j
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!incl[j]) continue;
+  for (std::size_t ji = 0; ji < included.size(); ++ji) {
     LinearProgram::Row row;
     row.coeffs.assign(num_vars, 0.0);
-    for (std::size_t s = first_slot[j]; s < g.slots; ++s) {
-      row.coeffs[var_base[j] + (s - first_slot[j])] = 1.0;
+    for (std::size_t s = costs.first_slot(ji); s < g.slots; ++s) {
+      row.coeffs[costs.index(ji, s)] = 1.0;
     }
     row.rel = LinearProgram::Rel::kGe;
-    row.rhs = instance.job(static_cast<JobId>(j)).size;
+    row.rhs = included[ji]->size;
     lp.rows.push_back(std::move(row));
   }
   // sum_j x_{jt} <= m * slot
@@ -289,9 +321,9 @@ LinearProgram build_flowtime_lp(const Instance& instance,
     LinearProgram::Row row;
     row.coeffs.assign(num_vars, 0.0);
     bool any = false;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (incl[j] && s >= first_slot[j]) {
-        row.coeffs[var_base[j] + (s - first_slot[j])] = 1.0;
+    for (std::size_t ji = 0; ji < included.size(); ++ji) {
+      if (s >= costs.first_slot(ji)) {
+        row.coeffs[costs.index(ji, s)] = 1.0;
         any = true;
       }
     }

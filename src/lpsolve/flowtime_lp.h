@@ -24,7 +24,7 @@
 namespace tempofair::lpsolve {
 
 /// Jobs below this size are dropped from the LP.  A denormal-size job makes
-/// unit_cost = (t^k + p^k) / p overflow to infinity, and removing a demand
+/// unit cost (t^k + p^k) / p overflow to infinity, and removing a demand
 /// row only *lowers* the LP optimum, so the relaxed value stays a valid
 /// lower bound on OPT^k.
 inline constexpr double kMinLpJobSize = 1e-12;
@@ -34,6 +34,8 @@ struct FlowtimeLpOptions {
   int machines = 1;
   double slot = 1.0;     ///< discretization width
   /// Optional cap on the number of slots (0 = derive from the horizon bound).
+  /// A cap that leaves too little capacity for the work, or that ends the
+  /// grid before some included job's release, is a bad option.
   std::size_t max_slots = 0;
 };
 

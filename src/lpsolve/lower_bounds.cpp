@@ -54,9 +54,12 @@ OptBounds opt_bounds(const Instance& instance, const OptBoundsOptions& options) 
       slot = std::min(1.0, instance.min_size());
       const double horizon =
           instance.horizon_bound(options.machines, 1.0) - instance.min_release();
-      // The grid dominates the MCMF cost (roughly slots x jobs edges and
-      // slots+jobs augmentations); a coarser grid only loosens the lower
-      // bound, never invalidates it.
+      // The grid sets the LP's size: about slots x jobs arcs, and every
+      // augmentation's sink-bounded search scans the arcs of the jobs it
+      // settles, so the cost grows with slots x jobs per augmentation.  A
+      // coarser grid only loosens the lower bound, never invalidates it;
+      // the committed certified bounds (perfbench/expected.txt and the
+      // pinned-bound test) are computed on this grid.
       constexpr double kMaxSlots = 600.0;
       const double min_slot = horizon / kMaxSlots;
       // A denormal/zero min size (or a degenerate horizon) must not reach

@@ -1,14 +1,20 @@
 // Min-cost max-flow with real-valued capacities and costs.
 //
-// Successive shortest augmenting paths with Johnson potentials (Dijkstra per
-// augmentation).  Costs must be nonnegative on original edges; capacities and
-// flow amounts are doubles with epsilon hygiene (residuals below kFlowEps are
+// Successive shortest augmenting paths with Johnson potentials: one Dijkstra
+// per augmentation, run on reduced costs and stopped as soon as the sink
+// settles.  Costs must be nonnegative on original edges; capacities and flow
+// amounts are doubles with epsilon hygiene (residuals below kFlowEps are
 // treated as saturated).  This is the exact solver behind the discretized
-// flow-time LP of Section 3.1 -- a pure transportation problem, for which SSP
-// terminates after at most O(E) saturations per phase in practice.
+// flow-time LP of Section 3.1, a pure transportation problem.
+//
+// Edges are collected by add_edge() and frozen into a flat (CSR) residual
+// graph on the first solve(); each node keeps its arcs in insertion order,
+// so ties between equal-cost paths break the same way on every build.
+// Adding an edge after solve() is an error.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace tempofair::lpsolve {
@@ -21,7 +27,8 @@ class MinCostFlow {
 
   /// Adds a directed edge u -> v; returns its handle for flow queries.
   /// Requires cap >= 0 and cost >= 0 (SSP with potentials needs nonnegative
-  /// reduced costs; our LPs have nonnegative costs natively).
+  /// reduced costs; our LPs have nonnegative costs natively).  Throws
+  /// std::logic_error once solve() has frozen the graph.
   std::size_t add_edge(std::size_t u, std::size_t v, double cap, double cost);
 
   struct Result {
@@ -30,36 +37,48 @@ class MinCostFlow {
   };
 
   /// Sends up to `max_flow` units from s to t along successive shortest
-  /// paths; returns achieved flow and its total cost.
+  /// paths; returns achieved flow and its total cost.  Records the
+  /// counters lpsolve.mcf.{augmentations,settled,arcs_scanned} once per call.
   Result solve(std::size_t s, std::size_t t, double max_flow);
 
-  /// Flow currently on edge `handle` (after solve()).
+  /// Flow currently on edge `handle` (0 before solve()).
   [[nodiscard]] double flow_on(std::size_t handle) const;
 
   /// Johnson potentials after solve(): potentials()[v] is the shortest-path
-  /// distance from the source to v in the final residual network.  These are
-  /// (approximate) optimal duals of the underlying transportation LP, which
-  /// the flow-time certificate pass repairs into an exactly-feasible dual.
+  /// distance from the source to v in the final residual network, capped at
+  /// the sink's distance in every round.  These are (approximate) optimal
+  /// duals of the underlying transportation LP, which the flow-time
+  /// certificate pass repairs into an exactly-feasible dual.
   [[nodiscard]] const std::vector<double>& potentials() const noexcept {
     return potential_;
   }
 
-  [[nodiscard]] std::size_t num_nodes() const noexcept { return graph_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const noexcept { return num_nodes_; }
 
  private:
-  struct Edge {
-    std::size_t to;
-    std::size_t rev;  // index of reverse edge in graph_[to]
-    double cap;       // residual capacity
+  struct PendingEdge {
+    std::uint32_t u;
+    std::uint32_t v;
     double cost;
-    bool original;    // true for user-added edges
   };
 
-  std::vector<std::vector<Edge>> graph_;
-  std::vector<std::pair<std::size_t, std::size_t>> handles_;  // (node, idx)
-  std::vector<double> initial_cap_;                           // per handle
-  std::vector<double> potential_;                             // after solve()
+  void freeze();
+
+  std::size_t num_nodes_;
+  bool frozen_ = false;
+  std::vector<PendingEdge> pending_;  // until freeze()
+  std::vector<double> initial_cap_;  // per handle
   double max_cost_ = 0.0;
+
+  // Residual graph in CSR form: node u's arcs are [first_[u], first_[u+1]).
+  std::vector<std::uint32_t> first_;
+  std::vector<std::uint32_t> to_;
+  std::vector<std::uint32_t> rev_;  // index of the paired reverse arc
+  std::vector<double> cap_;         // residual capacity
+  std::vector<double> cost_;
+
+  std::vector<std::uint32_t> handle_arc_;  // forward arc of each handle
+  std::vector<double> potential_;          // after solve()
 };
 
 }  // namespace tempofair::lpsolve

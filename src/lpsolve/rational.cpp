@@ -14,13 +14,37 @@ UInt uabs(Int v) {
   return v < 0 ? -static_cast<UInt>(v) : static_cast<UInt>(v);
 }
 
+int ctz_u(UInt v) {  // v != 0
+  const auto lo = static_cast<std::uint64_t>(v);
+  return lo != 0 ? __builtin_ctzll(lo)
+                 : 64 + __builtin_ctzll(static_cast<std::uint64_t>(v >> 64));
+}
+
+bool is_pow2(UInt v) { return (v & (v - 1)) == 0; }
+
+/// gcd(0, b) = b.  Certificate values are dyadic, so most calls have a
+/// power-of-two argument and take the fast path
+/// gcd(x, 2^e) = 2^min(ctz x, e); the rest run Euclid.
 UInt gcd_u(UInt a, UInt b) {
+  if (a == 0) return b;
+  if (b == 0) return a;
+  if (is_pow2(a) || is_pow2(b)) {
+    const int za = ctz_u(a);
+    const int zb = ctz_u(b);
+    return static_cast<UInt>(1) << (za < zb ? za : zb);
+  }
   while (b != 0) {
     const UInt t = a % b;
     a = b;
     b = t;
   }
   return a;
+}
+
+/// v / g for a divisor g of v (g > 0): a shift when g is a power of two.
+Int div_exact(Int v, UInt g) {
+  if (is_pow2(g)) return v >> ctz_u(g);
+  return v / static_cast<Int>(g);
 }
 
 bool mul_overflows(Int a, Int b, Int* out) {
@@ -51,8 +75,8 @@ Rational Rational::make(Int num, Int den) noexcept {
   if (num == 0) return Rational(0, 1, true);
   const UInt g = gcd_u(uabs(num), static_cast<UInt>(den));
   if (g > 1) {
-    num /= static_cast<Int>(g);
-    den /= static_cast<Int>(g);
+    num = div_exact(num, g);
+    den = div_exact(den, g);
   }
   return Rational(num, den, true);
 }
@@ -91,23 +115,31 @@ double Rational::to_double() const noexcept {
 }
 
 double Rational::lower_double() const noexcept {
-  if (!valid_) return -std::numeric_limits<double>::infinity();
-  double d = to_double();
-  // from_double is exact, so the exact comparison below terminates after at
-  // most a few ulp steps (double division is correctly rounded).
-  while (from_double(d) > *this) {
-    d = std::nextafter(d, -std::numeric_limits<double>::infinity());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!valid_) return -kInf;
+  // from_double is exact, so stepping down from the nearest double stops
+  // after a few ulps once `d <= *this` is proven.  from_double(d) is invalid
+  // for |d| below ~2^-74 and an exact comparison can overflow; where the
+  // order cannot be decided, fall back to a bound that holds by sign.
+  for (double d = to_double();;) {
+    const Rational r = from_double(d);
+    if (r <= *this) return d;
+    if (!(*this < r)) break;  // undecided
+    d = std::nextafter(d, -kInf);
   }
-  return d;
+  return num_ >= 0 ? 0.0 : -kInf;
 }
 
 double Rational::upper_double() const noexcept {
-  if (!valid_) return std::numeric_limits<double>::infinity();
-  double d = to_double();
-  while (from_double(d) < *this) {
-    d = std::nextafter(d, std::numeric_limits<double>::infinity());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!valid_) return kInf;
+  for (double d = to_double();;) {
+    const Rational r = from_double(d);
+    if (r >= *this) return d;
+    if (!(r < *this)) break;  // undecided
+    d = std::nextafter(d, kInf);
   }
-  return d;
+  return num_ <= 0 ? 0.0 : kInf;
 }
 
 Rational Rational::floor_to_dyadic(unsigned bits) const {
@@ -135,8 +167,8 @@ Rational operator+(const Rational& a, const Rational& b) {
   if (!a.valid_ || !b.valid_) return Rational::invalid();
   // a.num/a.den + b.num/b.den over the reduced common denominator.
   const UInt g = gcd_u(static_cast<UInt>(a.den_), static_cast<UInt>(b.den_));
-  const Int bden_red = b.den_ / static_cast<Int>(g);
-  const Int aden_red = a.den_ / static_cast<Int>(g);
+  const Int bden_red = div_exact(b.den_, g);
+  const Int aden_red = div_exact(a.den_, g);
   Int lhs = 0, rhs = 0, num = 0, den = 0;
   if (mul_overflows(a.num_, bden_red, &lhs) ||
       mul_overflows(b.num_, aden_red, &rhs) ||
@@ -154,12 +186,13 @@ Rational operator-(const Rational& a, const Rational& b) {
 Rational operator*(const Rational& a, const Rational& b) {
   if (!a.valid_ || !b.valid_) return Rational::invalid();
   // Cross-reduce before multiplying to keep intermediates small.
+  // Denominators are >= 1, so both gcds are >= 1.
   const UInt g1 = gcd_u(uabs(a.num_), static_cast<UInt>(b.den_));
   const UInt g2 = gcd_u(uabs(b.num_), static_cast<UInt>(a.den_));
-  const Int an = a.num_ / static_cast<Int>(g1 == 0 ? 1 : g1);
-  const Int bd = b.den_ / static_cast<Int>(g1 == 0 ? 1 : g1);
-  const Int bn = b.num_ / static_cast<Int>(g2 == 0 ? 1 : g2);
-  const Int ad = a.den_ / static_cast<Int>(g2 == 0 ? 1 : g2);
+  const Int an = div_exact(a.num_, g1);
+  const Int bd = div_exact(b.den_, g1);
+  const Int bn = div_exact(b.num_, g2);
+  const Int ad = div_exact(a.den_, g2);
   Int num = 0, den = 0;
   if (mul_overflows(an, bn, &num) || mul_overflows(ad, bd, &den)) {
     return Rational::invalid();

@@ -46,10 +46,13 @@ class Rational {
 
   /// Nearest-double approximation (0.0 when invalid).
   [[nodiscard]] double to_double() const noexcept;
-  /// Largest double known to be <= the exact value (for certified lower
-  /// bounds).  Returns -inf when invalid.
+  /// Largest double proven to be <= the exact value (for certified lower
+  /// bounds).  Returns -inf when invalid.  Where no nearby double can be
+  /// compared exactly (magnitudes below ~2^-74, or overflow), returns 0.0
+  /// for a value >= 0 and -inf otherwise.
   [[nodiscard]] double lower_double() const noexcept;
-  /// Smallest double known to be >= the exact value.  +inf when invalid.
+  /// Smallest double proven to be >= the exact value.  +inf when invalid;
+  /// mirrors lower_double()'s fallback (0.0 for a value <= 0, else +inf).
   [[nodiscard]] double upper_double() const noexcept;
 
   /// Largest multiple of 1/2^bits that is <= the exact value.  Used to

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "lpsolve/lower_bounds.h"
+#include "obs/obs.h"
 #include "policies/priority_policies.h"
 #include "workload/generators.h"
 #include "workload/source.h"
@@ -163,6 +168,71 @@ TEST(FlowtimeLp, InsufficientSlotCapRejected) {
   FlowtimeLpOptions opt;
   opt.max_slots = 2;  // capacity 2 < work 10
   EXPECT_THROW((void)solve_flowtime_lp(inst, opt), std::invalid_argument);
+}
+
+TEST(FlowtimeLp, CappedGridBeforeReleaseRejected) {
+  // Five unit slots hold the two units of work, but end long before the
+  // second job's release: that job would have no slot at all.
+  const std::pair<Time, Work> pairs[] = {{0.0, 1.0}, {100.0, 1.0}};
+  const Instance inst = Instance::from_pairs(pairs);
+  FlowtimeLpOptions opt;
+  opt.slot = 1.0;
+  opt.max_slots = 5;
+  EXPECT_THROW((void)solve_flowtime_lp(inst, opt), std::invalid_argument);
+  EXPECT_THROW((void)build_flowtime_lp(inst, opt), std::invalid_argument);
+  opt.max_slots = 101;  // the last slot starts at the release
+  EXPECT_NO_THROW((void)solve_flowtime_lp(inst, opt));
+  EXPECT_NO_THROW((void)build_flowtime_lp(inst, opt));
+}
+
+TEST(FlowtimeLp, SolverCountersFlushedPerSolve) {
+  const Instance inst = workload::make_instance(
+      "poisson:n=20,load=0.9,dist=exp(1.5),seed=3");
+  FlowtimeLpOptions opt;
+  opt.k = 2.0;
+  obs::Sink sink;
+  FlowtimeLpResult r;
+  {
+    obs::ScopedSink scope(&sink);
+    r = solve_flowtime_lp(inst, opt);
+  }
+  const std::uint64_t augmentations = sink.value("lpsolve.mcf.augmentations");
+  const std::uint64_t settled = sink.value("lpsolve.mcf.settled");
+  const std::uint64_t arcs = sink.value("lpsolve.mcf.arcs_scanned");
+  EXPECT_GT(augmentations, 0u);
+  EXPECT_GT(settled, 0u);
+  EXPECT_GT(arcs, 0u);
+  // Each search stops when the sink settles, well before it has settled
+  // every node of the network.
+  const std::uint64_t nodes = inst.n() + r.slots + 2;
+  EXPECT_LT(settled, nodes * augmentations);
+  EXPECT_LT(arcs, 2 * r.edges * augmentations);
+}
+
+TEST(FlowtimeLp, CertifiedBoundsPinnedBitwise) {
+  // Three of the certified bounds the benchmark pins (certify_lp batch):
+  // any drift in the LP, its solver or the exact certificate moves a bit.
+  const struct {
+    const char* spec;
+    double k;
+    double bound;
+  } cases[] = {
+      {"poisson:n=40,load=0.9,dist=exp(1.5),seed=101", 2.0,
+       0x1.0e639f80e7336p+9},
+      {"poisson:n=40,load=0.9,dist=pareto(1.8,0.5,50),seed=102", 3.0,
+       0x1.a71a67be4986fp+15},
+      {"adv-rr-l2-hard:n=16", 1.0, 0x1.07fffff98p+9},
+  };
+  for (const auto& c : cases) {
+    OptBoundsOptions o;
+    o.k = c.k;
+    o.with_lp = true;
+    const OptBounds b = opt_bounds(workload::make_instance(c.spec), o);
+    EXPECT_TRUE(b.lb_certified) << c.spec;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.certified_lb),
+              std::bit_cast<std::uint64_t>(c.bound))
+        << c.spec << " k=" << c.k << ": " << std::hexfloat << b.certified_lb;
+  }
 }
 
 TEST(FlowtimeLp, LateReleaseShiftsCosts) {
