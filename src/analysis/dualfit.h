@@ -47,9 +47,11 @@
 namespace tempofair::analysis {
 
 struct DualFitOptions {
-  double k = 2.0;      ///< l_k exponent (>= 1)
+  double k = 2.0;      ///< l_k exponent (finite, >= 1)
   double eps = 0.05;   ///< the analysis' epsilon, in (0, 1/10]
-  /// Override gamma; 0 = the paper's k*(k/eps)^k.
+  /// Override gamma (finite, >= 0); 0 = the paper's k*(k/eps)^k.  When
+  /// that product overflows (k around 100 and up) every constraint would
+  /// hold vacuously, so the certificate reports feasible = false.
   double gamma = 0.0;
 };
 
@@ -92,7 +94,16 @@ struct DualFitResult {
 /// Runs the verifier on a schedule (must have a recorded trace).
 /// The schedule should come from RoundRobin for the theorem's guarantees to
 /// apply, but any traced schedule is accepted -- the checks then report
-/// whether the construction happens to work for it.
+/// whether the construction happens to work for it.  Throws
+/// std::invalid_argument on a missing trace or out-of-range options.
+///
+/// The result is deterministic for one build, but where several beta
+/// breakpoints fall at the same time (equal releases, or r_i equal to some
+/// C_j + delta F_j) beta's running sum adds the tied events in the order
+/// std::sort leaves them, which the standard does not fix.  The last bits
+/// of beta_term and of the fields derived from beta (dual_objective,
+/// objective_ratio, min_slack, ...) are therefore portable across standard
+/// libraries only on inputs without tied breakpoints.
 [[nodiscard]] DualFitResult dual_fit_certificate(const Schedule& schedule,
                                                  const DualFitOptions& options);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/engine.h"
 #include "core/metrics.h"
@@ -45,6 +46,40 @@ TEST(DualFit, RejectsBadParameters) {
   EXPECT_THROW((void)dual_fit_certificate(s, opt), std::invalid_argument);
   opt.eps = 0.2;
   EXPECT_THROW((void)dual_fit_certificate(s, opt), std::invalid_argument);
+}
+
+TEST(DualFit, RejectsNonFiniteKAndBadGamma) {
+  // An infinite k used to pass as "feasible" with a NaN objective ratio, an
+  // infinite gamma as a valid certificate with an infinite implied ratio,
+  // and a NaN or negative gamma was silently replaced by the paper's.
+  const Schedule s = run_rr(Instance::batch(std::vector<Work>{1.0}), 6.0);
+  DualFitOptions opt;
+  opt.k = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)dual_fit_certificate(s, opt), std::invalid_argument);
+  opt.k = 2.0;
+  for (const double gamma : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -1.0}) {
+    opt.gamma = gamma;
+    EXPECT_THROW((void)dual_fit_certificate(s, opt), std::invalid_argument)
+        << "gamma " << gamma;
+  }
+}
+
+TEST(DualFit, OverflowingPaperGammaFailsClosed) {
+  // At k = 400 the paper's gamma = k (k/eps)^k overflows to +inf, which
+  // satisfies every feasibility constraint vacuously.  F = 1 keeps RR^k
+  // finite, so everything but feasibility would pass.
+  const Schedule s = run_rr(Instance::batch(std::vector<Work>{6.0}), 6.0);
+  DualFitOptions opt;
+  opt.k = 400.0;
+  opt.eps = 0.05;
+  const DualFitResult r = dual_fit_certificate(s, opt);
+  ASSERT_TRUE(std::isinf(r.gamma));
+  EXPECT_EQ(r.rr_power, 1.0);
+  EXPECT_TRUE(r.objective_ok);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_FALSE(r.certificate_valid());
+  EXPECT_EQ(r.implied_lk_ratio, 0.0);
 }
 
 TEST(DualFit, Theorem1SpeedFormula) {
