@@ -188,7 +188,7 @@ Report run_fastpath_cases(const CaseOptions& options) {
   // --- SETF / LAPS / MLFQ: the shared-rule fast-forward kernels -------------
   // Each pairs the generic event loop against its kEqualAttained /
   // kLatestArrival / kLevelPriority descriptor (core/share_rules.h rule
-  // bodies over the kernel's SoA columns, SIMD advance + completion scan).
+  // bodies over the kernel's SoA columns, fused advance + completion scan).
   {
     const Instance inst = workload::make_instance(workload::WorkloadSpec::poisson(
         n_pair, 0.9, workload::ExponentialSize{1.5}, kSeed + 5));

@@ -1,10 +1,9 @@
 // Perf measurement harness behind tools/perf_gate and BENCH_fastpath.json.
 //
-// google-benchmark (bench_perf.cpp) is great for interactive microbenchmark
-// work but awkward as a CI gate: its adaptive iteration counts make run
-// time unpredictable and its JSON says nothing about how noisy the machine
-// was.  This harness is the boring, auditable alternative: run each case a
-// fixed number of times, report the median wall time plus the median
+// A CI gate needs predictable run time and a record of how noisy the machine
+// was, which adaptive-iteration microbenchmark frameworks give neither of.
+// This harness is the boring, auditable alternative: run each case a fixed
+// number of times, report the median wall time plus the median
 // absolute deviation (MAD -- a robust noise estimate that one scheduling
 // hiccup cannot inflate), and serialize to a small stable JSON schema
 // ("tempofair-perf-v1") that a committed baseline can be diffed against

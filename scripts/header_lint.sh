@@ -5,31 +5,11 @@
 # check, so running it in CI keeps "include what you use" true for the
 # library's entire public surface.
 #
-# Also enforces the SIMD shim confinement: core/simd.h is the ONLY file in
-# the tree allowed to include <immintrin.h> (its vector paths are
-# compile-time gated, so every header here -- simd.h included -- must also
-# build cleanly without any -m arch flags, which this lint's plain
-# invocation checks for free).
-#
 # Usage: scripts/header_lint.sh [compiler]   (default: c++)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 CXX="${1:-${CXX:-c++}}"
-
-# --- intrinsics confinement -------------------------------------------------
-confinement_failures=0
-while IFS= read -r offender; do
-  if [ "$offender" != "src/core/simd.h" ]; then
-    echo "IMMINTRIN OUTSIDE THE SHIM: $offender (include core/simd.h instead)"
-    confinement_failures=$((confinement_failures + 1))
-  fi
-done < <(grep -rl '#include <immintrin.h>' src tests bench tools examples \
-         --include='*.h' --include='*.cpp' 2>/dev/null | sort)
-if ! grep -q '#include <immintrin.h>' src/core/simd.h; then
-  echo "EXPECTED src/core/simd.h to be the immintrin shim; include not found"
-  confinement_failures=$((confinement_failures + 1))
-fi
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -49,6 +29,5 @@ while IFS= read -r header; do
   fi
 done < <(find src -name '*.h' | sort)
 
-failures=$((failures + confinement_failures))
 echo "header_lint: $checked headers checked, $failures failures"
 exit "$((failures > 0 ? 1 : 0))"

@@ -60,7 +60,6 @@
 
 #include "core/engine.h"
 #include "core/share_rules.h"
-#include "core/simd.h"
 #include "obs/obs.h"
 
 namespace tempofair {
@@ -518,9 +517,11 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
                       std::to_string(n) + " alive jobs");
         }
         // Zero-weight shares divide to +inf (rem > 0) and drop out of the
-        // min, so the unmasked kernel matches the positive-rate-guarded
-        // scalar min bitwise.
-        completion_dt = simd::min_ratio(rem_.data(), wrates.data(), n);
+        // min, so no positive-rate guard is needed.
+        for (std::size_t i = 0; i < n; ++i) {
+          const Time cdt = rem_[i] / wrates[i];
+          if (cdt < completion_dt) completion_dt = cdt;
+        }
         break;
       case FastForwardKind::kQuantumRR: {
         const auto m = static_cast<std::size_t>(machines);
@@ -665,11 +666,11 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
             inv_.check_epoch(epoch);
           }
           // One shared delta (every rate is the same double), one fused
-          // contiguous pass (vectorized; elementwise, so bitwise-equal to
-          // the scalar loop); F2 keeps the descending order sorted through
-          // it.
+          // contiguous pass; F2 keeps the descending order sorted through
+          // it.  The pass is elementwise, so the compiler's vectorization
+          // of it cannot change a bit.
           const Work delta = share * dt;
-          simd::sub_scalar(ord_rem_.data(), ord_rem_.size(), delta);
+          for (Work& r : ord_rem_) r -= delta;
           break;
         }
         case FastForwardKind::kTopPriority: {
@@ -698,7 +699,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
             schedule.push_interval(now, now + dt, ids_, wrates);
             ++intervals_emitted;
           }
-          simd::sub_product(rem_.data(), wrates.data(), n, dt);
+          for (std::size_t i = 0; i < n; ++i) rem_[i] -= wrates[i] * dt;
           break;
         case FastForwardKind::kQuantumRR: {
           if (trace || inv_due) {
@@ -719,7 +720,7 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
           // F3 again: only the running set loses work.
           const Work delta = speed * dt;
           if (qrr_all) {
-            simd::sub_scalar(rem_.data(), rem_.size(), delta);
+            for (Work& r : rem_) r -= delta;
           } else {
             for (std::size_t i = 0; i < run_count; ++i) {
               rem_[pos_of(rr_queue_[i])] -= delta;

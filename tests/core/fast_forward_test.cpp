@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -169,6 +170,24 @@ TEST(FastForwardEquivalence, RandomWeightsExerciseWeightedShare) {
       workload::with_weights(base, workload::WeightScheme::kRandom, wrng);
   run_both_and_compare(weighted, "wprr", 2, /*record_trace=*/true);
   run_both_and_compare(weighted, "wprr", 2, /*record_trace=*/false);
+
+  // Valid weights near DBL_MAX overflow the waterfill's weight sum, so every
+  // share is zero: the kernel's earliest completion must come out +inf and
+  // trip the deadlock guard, exactly as the event loop does.
+  const Instance zero_rates = Instance::from_jobs(
+      {{0, 0.0, 1.0, 1e308}, {1, 0.0, 2.0, 1e308}, {2, 0.5, 1.0, 1e308}});
+  for (const bool fast : {true, false}) {
+    RunRequest req;
+    req.policy = "wprr";
+    req.use_fast_path = fast;
+    try {
+      (void)run(zero_rates, req);
+      ADD_FAILURE() << "fast=" << fast << ": all-zero rates did not fail";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos)
+          << "fast=" << fast << ": " << e.what();
+    }
+  }
 }
 
 TEST(FastForwardEquivalence, SpeedAugmentationAndBursts) {
