@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -90,6 +91,20 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   // carried instead of recomputed.  Rows list their jobs by id (I4), so a
   // merge with the previous row finds the carries; on a hand-built row in
   // another order the merge only misses some.
+  //
+  // beta (below) is a list of 2n events, two per job, built in the per-job
+  // pass.  Until then beta[2j] keeps F_j^k = (C_j - r_j)^k for that pass: a
+  // row that ends bitwise at C_j computes it as the job's upper power, from
+  // the same argument.  Its t stays NaN when no row does.
+  //
+  // An event (time, jump in beta) until the fold below turns it into a
+  // piece (start time, beta on [start, next start)).
+  struct Breakpoint {
+    Time t;
+    double value;
+  };
+  std::vector<Breakpoint> beta(
+      2 * n, Breakpoint{std::numeric_limits<Time>::quiet_NaN(), 0.0});
   std::vector<double> alpha(n, 0.0);
   std::vector<double> term;         // per row entry: its age-power integral
   std::vector<double> upper;        // per row entry: (b - r_j)^k
@@ -122,6 +137,10 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
       pow_carried += carried;
       upper[i] = pow_k(b - r);
       term[i] = upper[i] - lower;
+      if (std::bit_cast<std::uint64_t>(b) ==
+          std::bit_cast<std::uint64_t>(completion[j])) {
+        beta[2 * j] = Breakpoint{b, upper[i]};
+      }
     }
     prev_jobs = jobs;
     prev_end = b;
@@ -157,24 +176,18 @@ DualFitResult dual_fit_certificate(const Schedule& schedule,
   // beta is piecewise constant with breakpoints at r_j and C_j + delta F_j.
   // Build it as a sorted event list; value_scale = (1/2 - 3 eps) / m.
   const double beta_coeff = (0.5 - 3.0 * eps) / static_cast<double>(m);
-  // An event (time, jump in beta) until the fold below turns it into a
-  // piece (start time, beta on [start, next start)).
-  struct Breakpoint {
-    Time t;
-    double value;
-  };
-  std::vector<Breakpoint> beta;
-  beta.reserve(2 * n);
   for (std::size_t j = 0; j < n; ++j) {
     const Time flow = completion[j] - release[j];
-    const double fk = pow_k(flow);
+    // A row end is never NaN (I1), so a kept t equals C_j bitwise.
+    const Breakpoint kept = beta[2 * j];
+    const double fk = kept.t == completion[j] ? kept.value : pow_k(flow);
     const double fkm1 = pow_km1(flow);
     res.rr_power += fk;
     alpha[j] -= eps * fk;
     res.alpha_sum += alpha[j];
-    beta.push_back(Breakpoint{release[j], beta_coeff * fkm1});
-    beta.push_back(
-        Breakpoint{completion[j] + res.delta * flow, -beta_coeff * fkm1});
+    beta[2 * j] = Breakpoint{release[j], beta_coeff * fkm1};
+    beta[2 * j + 1] =
+        Breakpoint{completion[j] + res.delta * flow, -beta_coeff * fkm1};
   }
   std::sort(beta.begin(), beta.end(),
             [](const Breakpoint& a, const Breakpoint& b) { return a.t < b.t; });

@@ -365,7 +365,6 @@ Schedule EngineCore::run_event_loop(const Instance& instance, Policy& policy,
     }
   }
 
-  if (request.record_trace) schedule.finalize_trace();
   finish_invariants();
 
   obs::add("engine.runs", 1);

@@ -907,7 +907,6 @@ Schedule FastForwardCore::run_impl(Arrivals& arrivals, Schedule schedule,
     }
   }
 
-  if (trace) schedule.finalize_trace();
   finish_invariants();
 
   obs::add("engine.runs", 1);

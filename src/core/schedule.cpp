@@ -40,6 +40,15 @@ void Schedule::set_completion(JobId id, Time t) {
   makespan_ = std::max(makespan_, t);
 }
 
+void Schedule::set_trace_recorded(bool recorded) {
+  has_trace_ = recorded;
+  // A fast-path uniform-share row (RR) ends at an arrival or a completion,
+  // so n jobs make at most 2n rows, each storing one rate.  Rows of other
+  // kinds and the id column (one entry per alive job per row) may outgrow
+  // the hint; they grow geometrically from it.
+  if (recorded) trace_.reserve(2 * n(), 2 * n());
+}
+
 void Schedule::push_interval(Time begin, Time end,
                              std::span<const JobId> jobs,
                              std::span<const double> rates) {

@@ -47,9 +47,9 @@ class Schedule {
   /// Convenience for hand-built traces (tests).
   void push_interval(Time begin, Time end,
                      std::initializer_list<RateShare> shares);
-  /// Releases trace growth slack; the engine calls this after the last row.
-  void finalize_trace() { trace_.shrink_to_fit(); }
-  void set_trace_recorded(bool recorded) noexcept { has_trace_ = recorded; }
+  /// Switches trace recording on or off.  Switching it on sizes the trace
+  /// columns once for n() jobs (see schedule.cpp for the bound).
+  void set_trace_recorded(bool recorded);
 
   // --- queries --------------------------------------------------------------
   [[nodiscard]] std::size_t n() const noexcept { return completion_.size(); }
@@ -91,7 +91,8 @@ class Schedule {
   [[nodiscard]] JobTraceView job_trace(JobId id) const {
     return trace_.job_trace(id);
   }
-  /// Bytes held by the trace columns right now (capacity-based).
+  /// Bytes the stored trace rows hold (size-based, see
+  /// TraceArena::memory_bytes).
   [[nodiscard]] std::size_t trace_memory_bytes() const noexcept {
     return trace_.memory_bytes();
   }

@@ -6,26 +6,6 @@
 
 namespace tempofair {
 
-namespace {
-
-template <typename T>
-std::size_t capacity_bytes(const std::vector<T>& v) noexcept {
-  return v.capacity() * sizeof(T);
-}
-
-// Grows a column to hold `extra` more elements using a 1.25x geometric
-// factor instead of the standard library's 2x.  The trace columns dominate
-// the simulator's footprint, and a tight factor caps the capacity slack at
-// 25% (vs. up to 100%) while staying amortized O(1) per element.
-template <typename T>
-void grow_for(std::vector<T>& v, std::size_t extra) {
-  const std::size_t needed = v.size() + extra;
-  if (needed <= v.capacity()) return;
-  v.reserve(std::max(needed, v.capacity() + v.capacity() / 4 + 1));
-}
-
-}  // namespace
-
 JobSlice JobTraceView::operator[](std::size_t i) const noexcept {
   const std::size_t iv = intervals_[i];
   const TraceIntervalView view = (*arena_)[iv];
@@ -61,9 +41,18 @@ void TraceArena::reserve(std::size_t intervals, std::size_t entries) {
   rate_off_.reserve(intervals + 1);
   ids_.reserve(entries);
   rates_.reserve(entries);
-  peak_bytes_ = std::max(peak_bytes_, memory_bytes());
 }
 
+std::uint32_t TraceArena::end_offset(std::size_t offset, std::size_t count) {
+  constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+  if (offset > kMax || count > kMax - offset) {
+    throw std::length_error("TraceArena: more than 2^32 - 1 trace entries");
+  }
+  return static_cast<std::uint32_t>(offset + count);
+}
+
+// Both appends check their arguments and both offsets before the first
+// column changes.
 void TraceArena::append(Time begin, Time end, std::span<const JobId> jobs,
                         std::span<const double> rates) {
   if (jobs.size() != rates.size()) {
@@ -74,18 +63,6 @@ void TraceArena::append(Time begin, Time end, std::span<const JobId> jobs,
     throw std::invalid_argument(
         "TraceArena::append: interval must have end > begin");
   }
-  grow_for(begin_, 1);
-  grow_for(end_, 1);
-  grow_for(job_off_, 1);
-  grow_for(rate_off_, 1);
-  grow_for(ids_, jobs.size());
-  grow_for(rates_, rates.size());
-
-  begin_.push_back(begin);
-  end_.push_back(end);
-  ids_.insert(ids_.end(), jobs.begin(), jobs.end());
-  job_off_.push_back(ids_.size());
-
   // Uniform-rate compression (I3): when every rate is bitwise-equal --
   // true for every Round Robin interval -- store the shared value once.
   bool uniform = !rates.empty();
@@ -95,15 +72,17 @@ void TraceArena::append(Time begin, Time end, std::span<const JobId> jobs,
       break;
     }
   }
-  if (uniform) {
-    rates_.push_back(rates[0]);
-  } else {
-    rates_.insert(rates_.end(), rates.begin(), rates.end());
-  }
-  rate_off_.push_back(rates_.size());
+  const std::span<const double> stored = uniform ? rates.first(1) : rates;
+  const std::uint32_t job_end = end_offset(ids_.size(), jobs.size());
+  const std::uint32_t rate_end = end_offset(rates_.size(), stored.size());
 
+  begin_.push_back(begin);
+  end_.push_back(end);
+  ids_.insert(ids_.end(), jobs.begin(), jobs.end());
+  job_off_.push_back(job_end);
+  rates_.insert(rates_.end(), stored.begin(), stored.end());
+  rate_off_.push_back(rate_end);
   index_built_ = false;
-  peak_bytes_ = std::max(peak_bytes_, memory_bytes());
 }
 
 void TraceArena::append_uniform(Time begin, Time end,
@@ -112,22 +91,17 @@ void TraceArena::append_uniform(Time begin, Time end,
     throw std::invalid_argument(
         "TraceArena::append_uniform: interval must have end > begin");
   }
-  grow_for(begin_, 1);
-  grow_for(end_, 1);
-  grow_for(job_off_, 1);
-  grow_for(rate_off_, 1);
-  grow_for(ids_, jobs.size());
-  grow_for(rates_, 1);
+  const std::uint32_t job_end = end_offset(ids_.size(), jobs.size());
+  const std::uint32_t rate_end =
+      end_offset(rates_.size(), jobs.empty() ? 0 : 1);
 
   begin_.push_back(begin);
   end_.push_back(end);
   ids_.insert(ids_.end(), jobs.begin(), jobs.end());
-  job_off_.push_back(ids_.size());
+  job_off_.push_back(job_end);
   if (!jobs.empty()) rates_.push_back(rate);
-  rate_off_.push_back(rates_.size());
-
+  rate_off_.push_back(rate_end);
   index_built_ = false;
-  peak_bytes_ = std::max(peak_bytes_, memory_bytes());
 }
 
 void TraceArena::append(Time begin, Time end,
@@ -141,23 +115,6 @@ void TraceArena::append(Time begin, Time end,
     rates.push_back(s.rate);
   }
   append(begin, end, jobs, rates);
-}
-
-void TraceArena::shrink_to_fit() {
-  begin_.shrink_to_fit();
-  end_.shrink_to_fit();
-  job_off_.shrink_to_fit();
-  rate_off_.shrink_to_fit();
-  ids_.shrink_to_fit();
-  rates_.shrink_to_fit();
-}
-
-TraceIntervalView TraceArena::operator[](std::size_t i) const noexcept {
-  const std::uint64_t jo = job_off_[i];
-  return TraceIntervalView(begin_[i], end_[i], ids_.data() + jo,
-                           rates_.data() + rate_off_[i],
-                           static_cast<std::size_t>(job_off_[i + 1] - jo),
-                           interval_uniform(i));
 }
 
 void TraceArena::ensure_job_index() const {
@@ -198,14 +155,9 @@ JobTraceView TraceArena::job_trace(JobId job) const {
 }
 
 std::size_t TraceArena::memory_bytes() const noexcept {
-  return capacity_bytes(begin_) + capacity_bytes(end_) +
-         capacity_bytes(job_off_) + capacity_bytes(rate_off_) +
-         capacity_bytes(ids_) + capacity_bytes(rates_);
-}
-
-std::size_t TraceArena::index_memory_bytes() const noexcept {
-  return capacity_bytes(jidx_off_) + capacity_bytes(jidx_interval_) +
-         capacity_bytes(jidx_pos_);
+  return size() * (sizeof(Time) * 2) +
+         (size() + 1) * (sizeof(std::uint32_t) * 2) +
+         ids_.size() * sizeof(JobId) + rates_.size() * sizeof(double);
 }
 
 }  // namespace tempofair

@@ -21,21 +21,27 @@
 // Invariants (maintained by append, relied upon by all consumers):
 //   I1. Intervals are appended in nondecreasing time order and have
 //       end > begin (zero-length rows are the caller's job to drop).
-//   I2. job_offset_/rate_offset_ are CSR tables of size size()+1 with
-//       offset[0] == 0; interval i owns ids [job_offset_[i], job_offset_[i+1])
-//       and rates [rate_offset_[i], rate_offset_[i+1]).
-//   I3. rate_offset_[i+1]-rate_offset_[i] is either the interval's alive
-//       count (per-job rates) or exactly 1 (uniform rate shared by all jobs
+//   I2. job_off_/rate_off_ are 32-bit CSR tables of size size()+1 with
+//       offset[0] == 0; interval i owns ids [job_off_[i], job_off_[i+1])
+//       and rates [rate_off_[i], rate_off_[i+1]).  An append that would take
+//       either flat column past 2^32 - 1 entries throws std::length_error.
+//   I3. rate_off_[i+1]-rate_off_[i] is either the interval's alive count
+//       (per-job rates) or exactly 1 (uniform rate shared by all jobs
 //       of the interval).  The two coincide for single-job intervals.
 //   I4. Within an interval, job ids appear in the order the caller emitted
 //       them (the engine emits sorted by id; Schedule::validate checks it).
 //
+// Memory: each row is written once, in place.  Schedule::set_trace_recorded
+// sizes the columns once for the run (reserve); a column that outgrows the
+// hint grows geometrically, and nothing is shrunk or copied after the last
+// append.  Reserved capacity that no row reaches is never written, so it
+// costs address space, not resident memory.
+//
 // View lifetime: TraceIntervalView / JobTraceView / ShareRange are
-// non-owning raw-pointer views.  They are invalidated by append(), clear()
-// and shrink_to_fit(), exactly like std::span into a std::vector.  The
-// lazily built per-job index is NOT thread-safe on first use; call
-// job_trace() (or Schedule::validate) once before sharing a schedule
-// across threads.
+// non-owning raw-pointer views.  They are invalidated by append() and
+// clear(), exactly like std::span into a std::vector.  The lazily built
+// per-job index is NOT thread-safe on first use; call job_trace() (or
+// Schedule::validate) once before sharing a schedule across threads.
 #pragma once
 
 #include <cstddef>
@@ -228,6 +234,8 @@ class TraceArena {
 
   // --- mutation -------------------------------------------------------------
   void clear() noexcept;
+  /// Sizes the row columns for `intervals` rows and the id and rate columns
+  /// for `entries` entries each, so appends up to that size copy nothing.
   void reserve(std::size_t intervals, std::size_t entries);
   /// Appends one interval row.  `jobs` and `rates` must be parallel; the
   /// engine emits jobs sorted by id (I4).  Requires end > begin.
@@ -241,8 +249,10 @@ class TraceArena {
                       double rate);
   /// Convenience for hand-built traces (tests).
   void append(Time begin, Time end, std::initializer_list<RateShare> shares);
-  /// Releases growth slack in all columns (call once after the last append).
-  void shrink_to_fit();
+  /// The CSR offset that ends a row of `count` entries appended at flat
+  /// position `offset` (I2).  Throws std::length_error past 2^32 - 1.
+  [[nodiscard]] static std::uint32_t end_offset(std::size_t offset,
+                                                std::size_t count);
 
   // --- interval access ------------------------------------------------------
   [[nodiscard]] std::size_t size() const noexcept { return begin_.size(); }
@@ -251,7 +261,12 @@ class TraceArena {
   [[nodiscard]] std::size_t entry_count() const noexcept {
     return ids_.size();
   }
-  [[nodiscard]] TraceIntervalView operator[](std::size_t i) const noexcept;
+  [[nodiscard]] TraceIntervalView operator[](std::size_t i) const noexcept {
+    const std::uint32_t jo = job_off_[i];
+    return TraceIntervalView(begin_[i], end_[i], ids_.data() + jo,
+                             rates_.data() + rate_off_[i],
+                             job_off_[i + 1] - jo, interval_uniform(i));
+  }
   [[nodiscard]] TraceIntervalView front() const noexcept { return (*this)[0]; }
   [[nodiscard]] TraceIntervalView back() const noexcept {
     return (*this)[size() - 1];
@@ -307,32 +322,26 @@ class TraceArena {
   }
 
   // --- memory accounting ----------------------------------------------------
-  /// Bytes currently allocated by the core columns (excludes the lazily
-  /// built per-job index; capacity-based, so growth slack counts).
+  /// Bytes the stored rows hold in the core columns: sizes, not capacity,
+  /// so reserved slack no row has written does not count.  Excludes the
+  /// lazily built per-job index.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
-  /// High-water mark of memory_bytes() across the arena's lifetime.
-  [[nodiscard]] std::size_t peak_memory_bytes() const noexcept {
-    return peak_bytes_;
-  }
-  /// Bytes allocated by the per-job index (0 until first job_trace call).
-  [[nodiscard]] std::size_t index_memory_bytes() const noexcept;
 
  private:
   friend class JobTraceView;
 
   void ensure_job_index() const;
   [[nodiscard]] bool interval_uniform(std::size_t i) const noexcept {
-    const std::uint64_t nrates = rate_off_[i + 1] - rate_off_[i];
+    const std::uint32_t nrates = rate_off_[i + 1] - rate_off_[i];
     return nrates != job_off_[i + 1] - job_off_[i] || nrates == 1;
   }
 
   std::vector<Time> begin_;
   std::vector<Time> end_;
-  std::vector<std::uint64_t> job_off_{0};   // size()+1 CSR into ids_
-  std::vector<std::uint64_t> rate_off_{0};  // size()+1 CSR into rates_
+  std::vector<std::uint32_t> job_off_{0};   // size()+1 CSR into ids_
+  std::vector<std::uint32_t> rate_off_{0};  // size()+1 CSR into rates_
   std::vector<JobId> ids_;
   std::vector<double> rates_;
-  std::size_t peak_bytes_ = 0;
 
   // Per-job CSR index, built lazily by ensure_job_index().
   mutable bool index_built_ = false;

@@ -1,6 +1,7 @@
 #include "policies/weighted_rr.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -18,6 +19,25 @@ std::vector<double> waterfill(std::span<const double> weights, double capacity,
   std::vector<std::size_t> active(n);
   std::iota(active.begin(), active.end(), std::size_t{0});
   double cap_left = std::min(capacity, cap * static_cast<double>(n));
+
+  // Weights near DBL_MAX overflow the weight sum, or cap_left * w, to inf.
+  // Scaling every weight by one power of two changes no share's rounding
+  // (short of underflow), so only such inputs are rescaled, putting the
+  // largest weight in [1, 2): every result that was finite keeps its bits.
+  std::vector<double> rescaled;
+  double total = 0.0;
+  double largest = 0.0;
+  for (const double w : weights) {
+    total += w;
+    largest = std::max(largest, w);
+  }
+  if (std::isfinite(largest) && largest > 0.0 &&
+      (std::isinf(total) || std::isinf(cap_left * largest))) {
+    const int shift = -std::ilogb(largest);
+    rescaled.reserve(n);
+    for (const double w : weights) rescaled.push_back(std::ldexp(w, shift));
+    weights = rescaled;
+  }
 
   while (!active.empty()) {
     double weight_sum = 0.0;

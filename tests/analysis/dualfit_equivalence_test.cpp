@@ -411,5 +411,25 @@ TEST(DualFitEquivalence, PowCountersFlushedPerCertificate) {
   EXPECT_LE(carried, s.trace().entry_count());
 }
 
+TEST(DualFitEquivalence, FlowPowerReusedFromTheRowEndingAtCompletion) {
+  // One job, r = 0, p = 1, run alone on [0, 1).  At k = 2 the certificate
+  // needs std::pow for (1 - 0)^2 (the row's upper power, reused as F^k),
+  // p^2, and the base at the second beta piece, 1.05^2, after which the
+  // window cuts off.  (0 - 0)^2 and F^(k-1) = F^1 need no library call.
+  Schedule s(Instance::from_jobs({{0, 0.0, 1.0, 1.0}}), 1, 1.0);
+  s.set_completion(0, 1.0);
+  s.push_interval(0.0, 1.0, {RateShare{0, 1.0}});
+  s.set_trace_recorded(true);
+  obs::Sink sink;
+  DualFitResult got;
+  {
+    obs::ScopedSink scope(&sink);
+    got = dual_fit_certificate(s, options(2.0, 0.05));
+  }
+  EXPECT_EQ(sink.value("dualfit.pow_calls"), 3u);
+  expect_matches_reference(s, options(2.0, 0.05), "one job");
+  EXPECT_EQ(got.rr_power, 1.0);
+}
+
 }  // namespace
 }  // namespace tempofair::analysis

@@ -13,6 +13,7 @@
 // still fails here.
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -116,6 +117,31 @@ void run_both_and_compare(const Instance& instance, const std::string& policy,
   }
 }
 
+/// Runs WPRR on both cores for an instance whose jobs all carry the same
+/// weight: the run must succeed, bitwise equal between the cores, with every
+/// trace row sharing the machines equally, and complete like unit weights.
+void expect_equal_shares_on_both_cores(const Instance& instance,
+                                       int machines) {
+  run_both_and_compare(instance, "wprr", machines, /*record_trace=*/true);
+  RunRequest req;
+  req.policy = "wprr";
+  req.machines = machines;
+  req.record_trace = true;
+  const Schedule s = run(instance, req).schedule;
+  for (const TraceIntervalView iv : s.trace()) {
+    for (std::size_t i = 0; i < iv.alive_count(); ++i) {
+      ASSERT_EQ(bits(iv.rate(i)), bits(iv.rate(0)))
+          << "unequal shares in [" << iv.begin() << ", " << iv.end() << ")";
+    }
+  }
+  std::vector<Job> unit(instance.jobs().begin(), instance.jobs().end());
+  for (Job& j : unit) j.weight = 1.0;
+  const Schedule ref = run(Instance::from_jobs(unit), req).schedule;
+  for (JobId id = 0; id < static_cast<JobId>(s.n()); ++id) {
+    EXPECT_NEAR(s.completion(id), ref.completion(id), 1e-12) << "job " << id;
+  }
+}
+
 const std::vector<std::string> kFastPolicies = {
     "rr",      "fcfs",   "sjf",           "srpt", "wprr",
     "qrr:0.7", "qrr:0.5,0.03", "setf",    "laps:0.5", "mlfq"};
@@ -171,22 +197,26 @@ TEST(FastForwardEquivalence, RandomWeightsExerciseWeightedShare) {
   run_both_and_compare(weighted, "wprr", 2, /*record_trace=*/true);
   run_both_and_compare(weighted, "wprr", 2, /*record_trace=*/false);
 
-  // Valid weights near DBL_MAX overflow the waterfill's weight sum, so every
-  // share is zero: the kernel's earliest completion must come out +inf and
-  // trip the deadlock guard, exactly as the event loop does.
-  const Instance zero_rates = Instance::from_jobs(
-      {{0, 0.0, 1.0, 1e308}, {1, 0.0, 2.0, 1e308}, {2, 0.5, 1.0, 1e308}});
-  for (const bool fast : {true, false}) {
-    RunRequest req;
-    req.policy = "wprr";
-    req.use_fast_path = fast;
-    try {
-      (void)run(zero_rates, req);
-      ADD_FAILURE() << "fast=" << fast << ": all-zero rates did not fail";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos)
-          << "fast=" << fast << ": " << e.what();
-    }
+  // Valid weights near DBL_MAX overflow the waterfill's weight sum; the
+  // waterfill rescales them, so equal weights still split equally.
+  expect_equal_shares_on_both_cores(
+      Instance::from_jobs(
+          {{0, 0.0, 1.0, 1e308}, {1, 0.0, 2.0, 1e308}, {2, 0.5, 1.0, 1e308}}),
+      1);
+}
+
+TEST(FastForwardEquivalence, HugeEqualWeightsSplitEquallyOnBothCores) {
+  // These weights overflow the waterfill's weight sum at m=1 and m=2, and
+  // cap_left * w at m=2; the overflow must reach neither core's rates.
+  const double w = std::numeric_limits<double>::max();
+  const Instance huge = Instance::from_jobs({{0, 0.0, 1.0, w},
+                                             {1, 0.0, 2.0, w},
+                                             {2, 0.5, 1.0, w},
+                                             {3, 0.75, 0.5, w},
+                                             {4, 4.0, 1.5, w}});
+  for (const int machines : {1, 2}) {
+    SCOPED_TRACE("m=" + std::to_string(machines));
+    expect_equal_shares_on_both_cores(huge, machines);
   }
 }
 

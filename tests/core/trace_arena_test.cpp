@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -139,6 +141,64 @@ TEST(TraceArena, EveryRrIntervalIsUniformCompressed) {
   for (const TraceIntervalView iv : s.trace()) {
     EXPECT_TRUE(iv.uniform_rate());
   }
+}
+
+TEST(TraceArena, MemoryBytesCountStoredRowsNotCapacity) {
+  const Instance inst =
+      workload::make_instance(workload::WorkloadSpec::poisson(
+          500, 0.9, workload::ExponentialSize{1.5}, 29, 2));
+  for (const std::string policy : {"rr", "srpt", "wrr"}) {
+    SCOPED_TRACE(policy);
+    RunRequest req;
+    req.policy = policy;
+    req.machines = 2;
+    req.record_trace = true;
+    const Schedule s = run(inst, req).schedule;
+    const TraceArena& t = s.trace();
+    std::size_t rates = 0;
+    for (const TraceIntervalView iv : t) {
+      rates += iv.uniform_rate() ? 1 : iv.alive_count();
+    }
+    // Per row: two bounds and two 32-bit offsets (plus the leading zero
+    // offsets); per entry a 32-bit id; per stored rate a double.
+    EXPECT_EQ(s.trace_memory_bytes(),
+              t.size() * 16 + (t.size() + 1) * 8 + t.entry_count() * 4 +
+                  rates * 8);
+  }
+  EXPECT_EQ(TraceArena().memory_bytes(), 8u);
+}
+
+TEST(TraceArena, FastPathRrStoresAtMostTwoRowsPerJob) {
+  // Schedule::set_trace_recorded reserves 2n rows on this bound: every
+  // uniform-share row ends at an arrival or a completion.
+  for (const int machines : {1, 4}) {
+    for (const double load : {0.5, 0.99}) {
+      const std::size_t n = 2000;
+      const Instance inst =
+          workload::make_instance(workload::WorkloadSpec::poisson(
+              n, load, workload::ExponentialSize{1.5}, 31, machines));
+      RunRequest req;
+      req.machines = machines;
+      req.record_trace = true;
+      req.use_fast_path = true;
+      const Schedule s = run(inst, req).schedule;
+      EXPECT_GT(s.trace().size(), n / 2);
+      EXPECT_LE(s.trace().size(), 2 * n)
+          << "m=" << machines << " load=" << load;
+    }
+  }
+}
+
+TEST(TraceArena, OffsetsPastThirtyTwoBitsThrow) {
+  constexpr std::size_t kMax = 0xFFFFFFFFu;
+  EXPECT_EQ(TraceArena::end_offset(0, 0), 0u);
+  EXPECT_EQ(TraceArena::end_offset(kMax - 3, 3), kMax);
+  EXPECT_EQ(TraceArena::end_offset(kMax, 0), kMax);
+  EXPECT_THROW((void)TraceArena::end_offset(kMax, 1), std::length_error);
+  EXPECT_THROW((void)TraceArena::end_offset(kMax - 3, 4), std::length_error);
+  EXPECT_THROW((void)TraceArena::end_offset(kMax + 1, 0), std::length_error);
+  EXPECT_THROW((void)TraceArena::end_offset(1, static_cast<std::size_t>(-1)),
+               std::length_error);
 }
 
 // ---- Equivalence: arena pipeline vs first-principles AoS recomputation -----

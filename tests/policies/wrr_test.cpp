@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "workload/generators.h"
@@ -72,6 +77,59 @@ TEST(Waterfill, MonotoneInWeights) {
   EXPECT_LE(r[0], r[1] + 1e-12);
   EXPECT_LE(r[1], r[2] + 1e-12);
   EXPECT_NEAR(r[2], r[3], 1e-12);
+}
+
+// Scaling every weight by a power of two must not move any share; weights
+// so large that the sum or cap_left * w overflows are no exception.
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "rate " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+std::vector<double> scaled(std::vector<double> w, int exp) {
+  for (double& x : w) x = std::ldexp(x, exp);
+  return w;
+}
+
+TEST(Waterfill, OverflowingWeightSumSplitsAsScaledWeights) {
+  const std::vector<double> w{1e308, 1e308, 1e308};
+  const auto r = waterfill(w, 1.0, 1.0);
+  expect_same_bits(r, waterfill(scaled(w, -1000), 1.0, 1.0));
+  EXPECT_GT(r[0], 0.0);
+  EXPECT_EQ(r[0], r[1]);
+  EXPECT_EQ(r[1], r[2]);
+  // At m=2 the overflow also reached cap_left * w.
+  expect_same_bits(waterfill(w, 2.0, 1.0),
+                   waterfill(scaled(w, -1000), 2.0, 1.0));
+}
+
+TEST(Waterfill, OverflowingProductSplitsAsScaledWeights) {
+  // The sum 1.7e308 is finite, but 10 * 1e308 is not: the first weight
+  // used to take the whole capacity.
+  const std::vector<double> w{1e308, 7e307};
+  const auto r = waterfill(w, 10.0, 10.0);
+  expect_same_bits(r, waterfill(scaled(w, -900), 10.0, 10.0));
+  EXPECT_NEAR(r[0], 10.0 / 1.7, 1e-12);
+  EXPECT_NEAR(r[1], 7.0 / 1.7, 1e-12);
+}
+
+TEST(Waterfill, PowerOfTwoScaledWeightsSplitBitwiseAlike) {
+  // The premise of the rescale, on inputs whose arithmetic stays finite
+  // (neither call rescales).
+  workload::Rng rng(11);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> w(static_cast<std::size_t>(rng.uniform_int(1, 9)));
+    for (double& x : w) x = rng.uniform(0.1, 5.0);
+    const double cap = rng.uniform(0.1, 2.0);
+    const double capacity = rng.uniform(0.1, 8.0);
+    expect_same_bits(waterfill(w, capacity, cap),
+                     waterfill(scaled(w, 700), capacity, cap));
+  }
 }
 
 TEST(WeightedRoundRobin, RejectsBadParameters) {
